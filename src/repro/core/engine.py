@@ -119,9 +119,8 @@ class MetaqueryEngine:
         Run the relational algebra on the dictionary-encoded columnar
         kernels (:mod:`repro.relational.columnar`) instead of per-tuple
         set operations.  ``None`` (default) defers to the *ambient*
-        switch at each call — ``REPRO_COLUMNAR`` / :func:`use_columnar`
-        contexts active when a metaquery runs, on unless disabled —
-        mirroring the ablation style
+        switch at each call — :func:`use_columnar` contexts active when a
+        metaquery runs, on unless disabled — mirroring the ablation style
         of ``cache=`` / ``batch=`` / ``workers=``.  Like them it is
         observationally invisible: answers, order and exact Fractions are
         byte-identical either way.  With ``workers > 1`` the setting is
@@ -169,8 +168,8 @@ class MetaqueryEngine:
         fast_path = _require_bool(fast_path, "fast_path")
         batch = _require_bool(batch, "batch")
         # The columnar-kernel switch is kept tri-state: ``None`` defers to
-        # the *ambient* switch (``REPRO_COLUMNAR`` / ``use_columnar``)
-        # resolved at each call through the ``columnar`` property — so
+        # the *ambient* switch (``use_columnar``) resolved at each call
+        # through the ``columnar`` property — so
         # ``with use_columnar(False): engine.decide(...)`` is honoured for
         # an engine built outside the block, matching the module-level
         # functions.  An explicit True/False stays pinned.  Worker
@@ -229,8 +228,8 @@ class MetaqueryEngine:
 
         Pinned when the engine was built with an explicit
         ``columnar=True/False``; with the default ``columnar=None`` it
-        follows the ambient switch (``REPRO_COLUMNAR``,
-        :func:`repro.relational.columnar.use_columnar`) at each access,
+        follows the ambient switch
+        (:func:`repro.relational.columnar.use_columnar`) at each access,
         so per-call ablation contexts apply to deferred engines too.
         """
         return columnar_switch.resolve(self._columnar_option)

@@ -1,26 +1,14 @@
 """Columnar storage and vectorized kernels behind the ``Relation`` probe API.
 
 This module is the "raw speed" layer named by the ROADMAP: a
-:class:`ColumnStore` holds a relation as dictionary-encoded ``array('q')``
-int64 columns (one flat buffer per attribute, codes assigned by the shared
-:class:`~repro.relational.dictionary.ValueDictionary`), and the join-shaped
-algebra operations — natural join, semijoin/antijoin, equality selection,
-projection, and the constants/repeated-variable filter of atom evaluation —
-run as vectorized kernels over those columns instead of per-tuple Python
-dict probes.
-
-Two backends implement every kernel:
-
-* **numpy** (when importable): sort + ``searchsorted`` hash-free joins,
-  boolean-mask selections, ``np.unique`` projection dedup.  The canonical
-  storage stays ``array('q')``; NumPy operates on zero-copy
-  ``np.frombuffer`` views and results are copied back into flat arrays,
-  so stores pickle identically on both backends.
-* **stdlib** (mandatory fallback): int-keyed hash probes over the
-  int-array bucket indexes of :func:`repro.relational.indexes.build_int_index`.
-  Selected by default when NumPy is absent, or forced with
-  ``REPRO_COLUMNAR_BACKEND=stdlib`` / :func:`use_backend` so the fallback
-  is testable on machines that *do* have NumPy.
+:class:`ColumnStore` holds a relation as dictionary-encoded int64 NumPy
+columns (one contiguous ``ndarray`` per attribute, codes assigned by the
+shared :class:`~repro.relational.dictionary.ValueDictionary`), and the
+join-shaped algebra operations — natural join, semijoin/antijoin, equality
+selection, projection, and the constants/repeated-variable filter of atom
+evaluation — run as vectorized NumPy kernels over those columns instead of
+per-tuple Python dict probes: sort + ``searchsorted`` hash-free joins,
+boolean-mask selections, ``np.unique`` projection dedup.
 
 Correctness notes the kernels rely on (and the property suite pins):
 
@@ -51,40 +39,36 @@ Correctness notes the kernels rely on (and the property suite pins):
   right operand's codes into the left's dictionary; codes are append-only
   so translation never disturbs existing columns.
 
-The columnar path is switched by the ``REPRO_COLUMNAR`` environment
-variable (process default), :func:`set_default` (pool workers), and the
-:func:`use_columnar` context manager / ``MetaqueryEngine(columnar=)``
+The columnar path is switched by :func:`set_default` (pool workers) and
+the :func:`use_columnar` context manager / ``MetaqueryEngine(columnar=)``
 (per-call ablation), mirroring the ``cache=`` / ``batch=`` / ``workers=``
-switches.  Because generators do not own a context (PEP 568 is not
-implemented), streaming evaluation wraps each pull with
-:func:`iterate_with` instead of holding ``use_columnar`` open across
-yields.
+switches; with it off, the relation layer runs its per-tuple frozenset
+algebra, the reference the differential suites compare against.  Because
+generators do not own a context (PEP 568 is not implemented), streaming
+evaluation wraps each pull with :func:`iterate_with` instead of holding
+``use_columnar`` open across yields.
 """
 
 from __future__ import annotations
 
-import os
-from array import array
 from contextlib import contextmanager
 from contextvars import ContextVar
+from itertools import chain
 from typing import Any, Callable, Iterable, Iterator, Sequence, TypeVar
 
-from repro.relational import indexes
+import numpy
+
 from repro.relational.dictionary import ValueDictionary
 
-try:  # pragma: no cover - trivially one branch per environment
-    import numpy
-
-    _np: Any = numpy
-except ModuleNotFoundError:  # pragma: no cover - the numpy-absent CI leg
-    _np = None
+#: NumPy, typed ``Any`` so the strict type-checking tier does not depend
+#: on NumPy's stubs.  Every column is a 1-D contiguous ``int64`` ndarray.
+_np: Any = numpy
 
 __all__ = [
     "MIN_KERNEL_ROWS",
     "ColumnStore",
     "atom_select_store",
     "backend",
-    "default_enabled",
     "enabled",
     "iterate_with",
     "join_stores",
@@ -93,7 +77,6 @@ __all__ = [
     "select_eq_store",
     "semijoin_stores",
     "set_default",
-    "use_backend",
     "use_columnar",
 ]
 
@@ -108,19 +91,10 @@ MIN_KERNEL_ROWS = 32
 
 
 # ----------------------------------------------------------------------
-# the ablation switch: environment default + per-context override
+# the ablation switch: process default + per-context override
 # ----------------------------------------------------------------------
-def _env_flag(name: str, default: str) -> bool:
-    return os.environ.get(name, default).strip().lower() not in {"0", "false", "no", "off"}
-
-
-_DEFAULT_ENABLED: bool = _env_flag("REPRO_COLUMNAR", "1")
+_DEFAULT_ENABLED: bool = True
 _OVERRIDE: ContextVar[bool | None] = ContextVar("repro_columnar_override", default=None)
-
-
-def default_enabled() -> bool:
-    """The process-wide default (``REPRO_COLUMNAR``, or :func:`set_default`)."""
-    return _DEFAULT_ENABLED
 
 
 def enabled() -> bool:
@@ -175,89 +149,33 @@ def iterate_with(flag: bool, factory: Callable[[], Iterator[T]]) -> Iterator[T]:
         yield item
 
 
-# ----------------------------------------------------------------------
-# backend selection: numpy when importable, stdlib always available
-# ----------------------------------------------------------------------
-_FORCE_STDLIB: bool = os.environ.get("REPRO_COLUMNAR_BACKEND", "").strip().lower() == "stdlib"
-
-
 def backend() -> str:
-    """The active kernel backend: ``"numpy"`` or ``"stdlib"``."""
-    return "numpy" if (_np is not None and not _FORCE_STDLIB) else "stdlib"
-
-
-def _active_numpy() -> Any:
-    """The numpy module when the numpy backend is active, else ``None``."""
-    return None if _FORCE_STDLIB else _np
-
-
-@contextmanager
-def use_backend(name: str) -> Iterator[None]:
-    """Force the ``"stdlib"`` or ``"numpy"`` backend within the block (tests).
-
-    Flips a module global, so this is not safe under concurrent evaluation
-    in other threads; it exists so the mandatory stdlib fallback can be
-    exercised on machines where NumPy is importable.  Requesting
-    ``"numpy"`` when NumPy is absent raises.
-    """
-    global _FORCE_STDLIB
-    if name not in ("numpy", "stdlib"):
-        raise ValueError(f"unknown columnar backend {name!r}")
-    if name == "numpy" and _np is None:
-        raise RuntimeError("numpy backend requested but numpy is not importable")
-    previous = _FORCE_STDLIB
-    _FORCE_STDLIB = name == "stdlib"
-    try:
-        yield
-    finally:
-        _FORCE_STDLIB = previous
-
-
-# ----------------------------------------------------------------------
-# numpy <-> array('q') bridges (numpy backend only)
-# ----------------------------------------------------------------------
-def _as_np(np: Any, column: "array[int]") -> Any:
-    """A zero-copy int64 view of a flat column (read-only is fine)."""
-    if len(column) == 0:
-        return np.empty(0, dtype=np.int64)
-    return np.frombuffer(column, dtype=np.int64)
-
-
-def _to_column(np: Any, values: Any) -> "array[int]":
-    """Copy an int64 ndarray back into the canonical ``array('q')`` form."""
-    out: "array[int]" = array("q")
-    out.frombytes(np.ascontiguousarray(values, dtype=np.int64).tobytes())
-    return out
-
-
-def _gather(column: "array[int]", row_ids: Iterable[int]) -> "array[int]":
-    """stdlib gather: the column values at the given row ids."""
-    return array("q", (column[i] for i in row_ids))
+    """The kernel backend, always ``"numpy"`` (recorded by the benchmarks)."""
+    return "numpy"
 
 
 class ColumnStore:
-    """Dictionary-encoded columns of one relation: flat int64 buffers.
+    """Dictionary-encoded columns of one relation: int64 ndarrays.
 
-    ``columns`` is one ``array('q')`` per attribute; ``length`` is the row
-    count (kept explicitly so zero-arity relations can distinguish the
-    empty relation from the one containing the empty tuple).  The store
-    lazily caches its decoded ``frozenset`` of value tuples and its
-    int-array bucket indexes; both caches are dropped by :meth:`release`
-    (cache eviction) and excluded from pickles.
+    ``columns`` is one contiguous ``int64`` ndarray per attribute;
+    ``length`` is the row count (kept explicitly so zero-arity relations
+    can distinguish the empty relation from the one containing the empty
+    tuple).  The store lazily caches its decoded ``frozenset`` of value
+    tuples; the cache is dropped by :meth:`release` (cache eviction) and
+    excluded from pickles.
     """
 
-    __slots__ = ("dictionary", "columns", "length", "_indexes", "_decoded")
+    __slots__ = ("dictionary", "columns", "length", "_decoded")
 
     def __init__(
         self,
         dictionary: ValueDictionary,
-        columns: tuple["array[int]", ...],
+        columns: tuple[Any, ...],
         length: int,
     ) -> None:
         self.dictionary = dictionary
         self.columns = columns
         self.length = length
-        self._indexes: dict[tuple[int, ...], dict[Any, "array[int]"]] | None = None
         self._decoded: frozenset[Row] | None = None
         assert all(len(column) == length for column in columns)
 
@@ -265,26 +183,24 @@ class ColumnStore:
     def from_rows(
         cls, dictionary: ValueDictionary, rows: Iterable[Row], arity: int
     ) -> "ColumnStore":
-        """Encode distinct, schema-validated rows under ``dictionary``."""
-        columns = tuple(array("q") for _ in range(arity))
-        length = 0
-        intern = dictionary.intern
-        if arity == 1:
-            column = columns[0]
-            for row in rows:
-                length += 1
-                column.append(intern(row[0]))
-        else:
-            for row in rows:
-                length += 1
-                for column, value in zip(columns, row):
-                    column.append(intern(value))
-        return cls(dictionary, columns, length)
+        """Encode distinct, schema-validated rows under ``dictionary``.
+
+        Values are interned row by row, left to right, so codes follow
+        first appearance in ``rows``.
+        """
+        if arity == 0:
+            # No values to count rows by: the relation holds () or nothing.
+            return cls(dictionary, (), sum(1 for _ in rows))
+        codes = _np.fromiter(
+            map(dictionary.intern, chain.from_iterable(rows)), dtype=_np.int64
+        )
+        columns = tuple(codes[k::arity].copy() for k in range(arity))
+        return cls(dictionary, columns, codes.shape[0] // arity)
 
     @classmethod
     def empty(cls, dictionary: ValueDictionary, arity: int) -> "ColumnStore":
         """An empty store of the given arity."""
-        return cls(dictionary, tuple(array("q") for _ in range(arity)), 0)
+        return cls(dictionary, tuple(_np.empty(0, dtype=_np.int64) for _ in range(arity)), 0)
 
     # ------------------------------------------------------------------
     def decode(self) -> frozenset[Row]:
@@ -296,31 +212,13 @@ class ColumnStore:
             else:
                 values = self.dictionary.values
                 decoded = frozenset(
-                    zip(*(map(values.__getitem__, column) for column in self.columns))
+                    zip(*(map(values.__getitem__, column.tolist()) for column in self.columns))
                 )
             self._decoded = decoded
         return decoded
 
-    def int_index(self, positions: tuple[int, ...]) -> dict[Any, "array[int]"]:
-        """The cached int-array bucket index on the given column positions.
-
-        Keys are int codes (single position) or tuples of codes; buckets
-        are ``array('q')`` row ids — see
-        :func:`repro.relational.indexes.build_int_index`.
-        """
-        cache = self._indexes
-        if cache is None:
-            cache = self._indexes = {}
-        index = cache.get(positions)
-        if index is None:
-            index = cache[positions] = indexes.build_int_index(
-                self.columns, positions, self.length
-            )
-        return index
-
     def release(self) -> None:
-        """Drop the decoded-rows and bucket-index caches (cache eviction)."""
-        self._indexes = None
+        """Drop the decoded-rows cache (cache eviction)."""
         self._decoded = None
 
     def translated(self, dictionary: ValueDictionary) -> "ColumnStore":
@@ -333,29 +231,18 @@ class ColumnStore:
         """
         if dictionary is self.dictionary:
             return self
-        intern = dictionary.intern
-        mapping = array("q", (intern(value) for value in self.dictionary.values))
-        np = _active_numpy()
-        if np is not None and self.length:
-            mapping_np = _as_np(np, mapping)
-            columns = tuple(
-                _to_column(np, mapping_np[_as_np(np, column)]) for column in self.columns
-            )
-        else:
-            columns = tuple(_gather(mapping, column) for column in self.columns)
+        mapping = _np.fromiter(map(dictionary.intern, self.dictionary.values), dtype=_np.int64)
+        columns = tuple(mapping[column] for column in self.columns)
         return ColumnStore(dictionary, columns, self.length)
 
     # ------------------------------------------------------------------
-    # pickling: codes + dictionary only; caches are rebuilt on demand
+    # pickling: codes + dictionary only; the decoded cache is rebuilt on demand
     # ------------------------------------------------------------------
-    def __getstate__(self) -> tuple[ValueDictionary, tuple["array[int]", ...], int]:
+    def __getstate__(self) -> tuple[ValueDictionary, tuple[Any, ...], int]:
         return (self.dictionary, self.columns, self.length)
 
-    def __setstate__(
-        self, state: tuple[ValueDictionary, tuple["array[int]", ...], int]
-    ) -> None:
+    def __setstate__(self, state: tuple[ValueDictionary, tuple[Any, ...], int]) -> None:
         self.dictionary, self.columns, self.length = state
-        self._indexes = None
         self._decoded = None
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
@@ -372,7 +259,7 @@ def _unified(left: ColumnStore, right: ColumnStore) -> ColumnStore:
     return right.translated(left.dictionary)
 
 
-def _pack_codes(np: Any, groups: Sequence[list[Any]]) -> list[Any] | None:
+def _pack_codes(groups: Sequence[list[Any]]) -> list[Any] | None:
     """Pack parallel multi-column code rows into single int64 keys, O(n).
 
     ``groups`` holds one key-column list per operand (equal column counts);
@@ -400,7 +287,7 @@ def _pack_codes(np: Any, groups: Sequence[list[Any]]) -> list[Any] | None:
             return None
     packed = []
     for columns in groups:
-        out = np.zeros(columns[0].shape[0], dtype=np.int64)
+        out = _np.zeros(columns[0].shape[0], dtype=_np.int64)
         for column, radix in zip(columns, ranges):
             out *= radix
             out += column
@@ -408,7 +295,7 @@ def _pack_codes(np: Any, groups: Sequence[list[Any]]) -> list[Any] | None:
     return packed
 
 
-def _key_codes(np: Any, left_keys: list[Any], right_keys: list[Any]) -> tuple[Any, Any]:
+def _key_codes(left_keys: list[Any], right_keys: list[Any]) -> tuple[Any, Any]:
     """Factorize multi-column join keys into single int64 codes per side.
 
     Single-column keys are used directly; wider keys are packed
@@ -419,15 +306,15 @@ def _key_codes(np: Any, left_keys: list[Any], right_keys: list[Any]) -> tuple[An
     """
     if len(left_keys) == 1:
         return left_keys[0], right_keys[0]
-    packed = _pack_codes(np, [left_keys, right_keys])
+    packed = _pack_codes([left_keys, right_keys])
     if packed is not None:
         return packed[0], packed[1]
     m = left_keys[0].shape[0]
-    stacked = np.concatenate(
-        [np.stack(left_keys, axis=1), np.stack(right_keys, axis=1)], axis=0
+    stacked = _np.concatenate(
+        [_np.stack(left_keys, axis=1), _np.stack(right_keys, axis=1)], axis=0
     )
-    _, inverse = np.unique(stacked, axis=0, return_inverse=True)
-    inverse = inverse.reshape(-1).astype(np.int64, copy=False)
+    _, inverse = _np.unique(stacked, axis=0, return_inverse=True)
+    inverse = inverse.reshape(-1).astype(_np.int64, copy=False)
     return inverse[:m], inverse[m:]
 
 
@@ -444,68 +331,35 @@ def join_stores(
     length, possibly empty — then this is the cartesian product) and
     ``right_keep`` the right-only positions appended to the output.
     Distinct inputs produce distinct outputs, so no deduplication happens.
+    Output rows follow left row order, then right row order within a key.
     """
     arity = len(left.columns) + len(right_keep)
     if left.length == 0 or right.length == 0:
         return ColumnStore.empty(left.dictionary, arity)
     right = _unified(left, right)
-    np = _active_numpy()
-    if np is not None:
-        left_cols = [_as_np(np, column) for column in left.columns]
-        right_cols = [_as_np(np, column) for column in right.columns]
-        if not left_pos:
-            left_ids = np.repeat(np.arange(left.length), right.length)
-            right_ids = np.tile(np.arange(right.length), left.length)
-        else:
-            left_key, right_key = _key_codes(
-                np, [left_cols[p] for p in left_pos], [right_cols[p] for p in right_pos]
-            )
-            order = np.argsort(right_key, kind="stable")
-            sorted_key = right_key[order]
-            lo = np.searchsorted(sorted_key, left_key, side="left")
-            hi = np.searchsorted(sorted_key, left_key, side="right")
-            counts = hi - lo
-            total = int(counts.sum())
-            if total == 0:
-                return ColumnStore.empty(left.dictionary, arity)
-            left_ids = np.repeat(np.arange(left.length), counts)
-            ends = np.cumsum(counts)
-            offsets = np.arange(total) - np.repeat(ends - counts, counts)
-            right_ids = order[np.repeat(lo, counts) + offsets]
-        columns = tuple(_to_column(np, column[left_ids]) for column in left_cols) + tuple(
-            _to_column(np, right_cols[p][right_ids]) for p in right_keep
-        )
-        return ColumnStore(left.dictionary, columns, int(left_ids.shape[0]))
-    # stdlib: probe the right side's cached int-array bucket index.
-    left_ids = array("q")
-    right_ids = array("q")
     if not left_pos:
-        for i in range(left.length):
-            for j in range(right.length):
-                left_ids.append(i)
-                right_ids.append(j)
+        left_ids = _np.repeat(_np.arange(left.length), right.length)
+        right_ids = _np.tile(_np.arange(right.length), left.length)
     else:
-        index = right.int_index(tuple(right_pos))
-        key_columns = [left.columns[p] for p in left_pos]
-        if len(key_columns) == 1:
-            single = key_columns[0]
-            for i in range(left.length):
-                bucket = index.get(single[i])
-                if bucket is not None:
-                    for j in bucket:
-                        left_ids.append(i)
-                        right_ids.append(j)
-        else:
-            for i in range(left.length):
-                bucket = index.get(tuple(column[i] for column in key_columns))
-                if bucket is not None:
-                    for j in bucket:
-                        left_ids.append(i)
-                        right_ids.append(j)
-    columns = tuple(_gather(column, left_ids) for column in left.columns) + tuple(
-        _gather(right.columns[p], right_ids) for p in right_keep
+        left_key, right_key = _key_codes(
+            [left.columns[p] for p in left_pos], [right.columns[p] for p in right_pos]
+        )
+        order = _np.argsort(right_key, kind="stable")
+        sorted_key = right_key[order]
+        lo = _np.searchsorted(sorted_key, left_key, side="left")
+        hi = _np.searchsorted(sorted_key, left_key, side="right")
+        counts = hi - lo
+        total = int(counts.sum())
+        if total == 0:
+            return ColumnStore.empty(left.dictionary, arity)
+        left_ids = _np.repeat(_np.arange(left.length), counts)
+        ends = _np.cumsum(counts)
+        offsets = _np.arange(total) - _np.repeat(ends - counts, counts)
+        right_ids = order[_np.repeat(lo, counts) + offsets]
+    columns = tuple(column[left_ids] for column in left.columns) + tuple(
+        right.columns[p][right_ids] for p in right_keep
     )
-    return ColumnStore(left.dictionary, columns, len(left_ids))
+    return ColumnStore(left.dictionary, columns, int(left_ids.shape[0]))
 
 
 def semijoin_stores(
@@ -528,91 +382,50 @@ def semijoin_stores(
             return ColumnStore(left.dictionary, left.columns, left.length)
         return ColumnStore.empty(left.dictionary, arity)
     right = _unified(left, right)
-    np = _active_numpy()
-    if np is not None:
-        left_cols = [_as_np(np, column) for column in left.columns]
-        right_cols = [_as_np(np, column) for column in right.columns]
-        left_key, right_key = _key_codes(
-            np, [left_cols[p] for p in left_pos], [right_cols[p] for p in right_pos]
-        )
-        mask = np.isin(left_key, right_key)
-        if negate:
-            mask = ~mask
-        row_ids = np.flatnonzero(mask)
-        columns = tuple(_to_column(np, column[row_ids]) for column in left_cols)
-        return ColumnStore(left.dictionary, columns, int(row_ids.shape[0]))
-    index = right.int_index(tuple(right_pos))
-    key_columns = [left.columns[p] for p in left_pos]
-    row_ids = array("q")
-    if len(key_columns) == 1:
-        single = key_columns[0]
-        for i in range(left.length):
-            if (single[i] in index) != negate:
-                row_ids.append(i)
-    else:
-        for i in range(left.length):
-            if (tuple(column[i] for column in key_columns) in index) != negate:
-                row_ids.append(i)
-    columns = tuple(_gather(column, row_ids) for column in left.columns)
-    return ColumnStore(left.dictionary, columns, len(row_ids))
+    left_key, right_key = _key_codes(
+        [left.columns[p] for p in left_pos], [right.columns[p] for p in right_pos]
+    )
+    mask = _np.isin(left_key, right_key)
+    if negate:
+        mask = ~mask
+    row_ids = _np.flatnonzero(mask)
+    columns = tuple(column[row_ids] for column in left.columns)
+    return ColumnStore(left.dictionary, columns, int(row_ids.shape[0]))
 
 
 def select_eq_store(store: ColumnStore, position: int, value: Any) -> ColumnStore:
     """Equality selection ``column == value`` keeping every column."""
-    arity = len(store.columns)
     code = store.dictionary.code_of(value)
     if code is None or store.length == 0:
-        return ColumnStore.empty(store.dictionary, arity)
-    np = _active_numpy()
-    if np is not None:
-        row_ids = np.flatnonzero(_as_np(np, store.columns[position]) == code)
-        columns = tuple(
-            _to_column(np, _as_np(np, column)[row_ids]) for column in store.columns
-        )
-        return ColumnStore(store.dictionary, columns, int(row_ids.shape[0]))
-    bucket = store.int_index((position,)).get(code)
-    if bucket is None:
-        return ColumnStore.empty(store.dictionary, arity)
-    columns = tuple(_gather(column, bucket) for column in store.columns)
-    return ColumnStore(store.dictionary, columns, len(bucket))
+        return ColumnStore.empty(store.dictionary, len(store.columns))
+    row_ids = _np.flatnonzero(store.columns[position] == code)
+    columns = tuple(column[row_ids] for column in store.columns)
+    return ColumnStore(store.dictionary, columns, int(row_ids.shape[0]))
 
 
 def project_store(store: ColumnStore, positions: Sequence[int]) -> ColumnStore:
     """Projection onto the given (distinct) positions, deduplicating rows.
 
     A projection onto a permutation of *all* columns cannot introduce
-    duplicates and skips the dedup pass entirely.
+    duplicates and skips the dedup pass entirely; otherwise the distinct
+    rows come out in ascending code order.
     """
     if not positions:
         return ColumnStore(store.dictionary, (), 1 if store.length else 0)
     gathered = [store.columns[p] for p in positions]
     if sorted(positions) == list(range(len(store.columns))):
         return ColumnStore(store.dictionary, tuple(gathered), store.length)
-    np = _active_numpy()
-    if np is not None:
-        mats = [_as_np(np, column) for column in gathered]
-        if len(mats) == 1:
-            unique = np.unique(mats[0])
-            return ColumnStore(
-                store.dictionary, (_to_column(np, unique),), int(unique.shape[0])
-            )
-        packed = _pack_codes(np, [mats])
-        if packed is not None:
-            _, first = np.unique(packed[0], return_index=True)
-            columns = tuple(_to_column(np, mat[first]) for mat in mats)
-            return ColumnStore(store.dictionary, columns, int(first.shape[0]))
-        unique = np.unique(np.stack(mats, axis=1), axis=0)
-        columns = tuple(_to_column(np, unique[:, k]) for k in range(len(mats)))
-        return ColumnStore(store.dictionary, columns, int(unique.shape[0]))
-    seen: set[tuple[int, ...]] = set()
-    columns = tuple(array("q") for _ in gathered)
-    for i in range(store.length):
-        key = tuple(column[i] for column in gathered)
-        if key not in seen:
-            seen.add(key)
-            for out, code in zip(columns, key):
-                out.append(code)
-    return ColumnStore(store.dictionary, columns, len(seen))
+    if len(gathered) == 1:
+        unique = _np.unique(gathered[0])
+        return ColumnStore(store.dictionary, (unique,), int(unique.shape[0]))
+    packed = _pack_codes([gathered])
+    if packed is not None:
+        _, first = _np.unique(packed[0], return_index=True)
+        columns = tuple(column[first] for column in gathered)
+        return ColumnStore(store.dictionary, columns, int(first.shape[0]))
+    unique = _np.unique(_np.stack(gathered, axis=1), axis=0)
+    columns = tuple(_np.ascontiguousarray(unique[:, k]) for k in range(len(gathered)))
+    return ColumnStore(store.dictionary, columns, int(unique.shape[0]))
 
 
 def atom_select_store(
@@ -640,27 +453,14 @@ def atom_select_store(
         codes.append((position, code))
     if store.length == 0:
         return ColumnStore.empty(store.dictionary, len(keep))
-    np = _active_numpy()
-    if np is not None:
-        columns = [_as_np(np, column) for column in store.columns]
-        mask = np.ones(store.length, dtype=bool)
-        for position, code in codes:
-            mask &= columns[position] == code
-        for position, first in repeats:
-            mask &= columns[position] == columns[first]
-        row_ids = np.flatnonzero(mask)
-        kept = tuple(_to_column(np, columns[p][row_ids]) for p in keep)
-        matched = int(row_ids.shape[0])
-    else:
-        row_ids = array("q")
-        raw = store.columns
-        for i in range(store.length):
-            if all(raw[position][i] == code for position, code in codes) and all(
-                raw[position][i] == raw[first][i] for position, first in repeats
-            ):
-                row_ids.append(i)
-        kept = tuple(_gather(raw[p], row_ids) for p in keep)
-        matched = len(row_ids)
+    columns = store.columns
+    mask = _np.ones(store.length, dtype=bool)
+    for position, code in codes:
+        mask &= columns[position] == code
+    for position, first in repeats:
+        mask &= columns[position] == columns[first]
+    row_ids = _np.flatnonzero(mask)
+    matched = int(row_ids.shape[0])
     if not keep:
         return ColumnStore(store.dictionary, (), 1 if matched else 0)
-    return ColumnStore(store.dictionary, kept, matched)
+    return ColumnStore(store.dictionary, tuple(columns[p][row_ids] for p in keep), matched)

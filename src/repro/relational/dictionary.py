@@ -3,7 +3,7 @@
 A :class:`ValueDictionary` is the translation table behind the columnar
 storage layer (:mod:`repro.relational.columnar`): every constant appearing
 in a relation is *interned* to a small non-negative integer code, and the
-relation's columns store those codes in flat ``array('q')`` buffers.  One
+relation's columns store those codes in int64 NumPy arrays.  One
 dictionary is shared per :class:`~repro.relational.database.Database`, so
 equal constants in different relations of the same database map to the
 same code and join kernels can compare plain int64s instead of hashing

@@ -1,20 +1,12 @@
 """Lazily built, cached hash indexes on column subsets of a relation.
 
-Two index families live here:
-
-* **Value-keyed row indexes** (:func:`build_index`) — the probe API that
-  every layer above the relational core consumes: a mapping
-  ``{key_tuple: [row, ...]}`` over a relation's value tuples, cached per
-  column-position tuple in ``Relation._index_cache``.  The batching layer
-  intersects key sets and sums bucket lengths through exactly this shape,
-  which is why it is preserved unchanged by the columnar refactor.
-* **Int-array bucket indexes** (:func:`build_int_index`) — the storage
-  the columnar kernels use internally: dictionary codes (single ints, or
-  tuples of ints for multi-column keys) mapped to flat ``array('q')``
-  buckets of *row ids* into the encoded columns of a
-  :class:`~repro.relational.columnar.ColumnStore`.  Cached per position
-  tuple on the store and released together with the value-keyed cache on
-  eviction.
+:func:`build_index` is the probe API that every layer above the relational
+core consumes: a mapping ``{key_tuple: [row, ...]}`` over a relation's
+value tuples, cached per column-position tuple in
+``Relation._index_cache``.  The batching layer intersects key sets and
+sums bucket lengths through exactly this shape.  The columnar kernels of
+:mod:`repro.relational.columnar` need no index: they sort and search the
+encoded columns directly.
 
 Keys are *positions* rather than column names so that renamed views created
 via :meth:`Relation.rename_columns` / :meth:`Relation.with_name` (which keep
@@ -24,10 +16,9 @@ from.
 
 from __future__ import annotations
 
-from array import array
 from typing import Any, Iterable, KeysView, Mapping, Sequence
 
-__all__ = ["build_index", "build_int_index", "index_for", "key_set"]
+__all__ = ["build_index", "index_for", "key_set"]
 
 Row = tuple
 
@@ -44,36 +35,6 @@ def build_index(
     else:
         for row in rows:
             index.setdefault(tuple(row[p] for p in positions), []).append(row)
-    return index
-
-
-def build_int_index(
-    columns: Sequence["array[int]"], positions: Sequence[int], length: int
-) -> dict[Any, "array[int]"]:
-    """Group encoded rows by code key: ``{code(s): array('q') of row ids}``.
-
-    Single-position indexes are keyed by the bare int code; wider indexes
-    by the tuple of codes.  Buckets are flat int64 arrays of row ids into
-    the store's columns, so gathering a bucket never touches Python value
-    objects.
-    """
-    index: dict[Any, "array[int]"] = {}
-    if len(positions) == 1:
-        column = columns[positions[0]]
-        for i in range(length):
-            code = column[i]
-            bucket = index.get(code)
-            if bucket is None:
-                bucket = index[code] = array("q")
-            bucket.append(i)
-    else:
-        key_columns = [columns[p] for p in positions]
-        for i in range(length):
-            key = tuple(column[i] for column in key_columns)
-            bucket = index.get(key)
-            if bucket is None:
-                bucket = index[key] = array("q")
-            bucket.append(i)
     return index
 
 

@@ -11,8 +11,8 @@ Internally a relation has two interchangeable representations:
   source of truth for equality, hashing, iteration and the value-keyed
   probe indexes every layer above consumes; and
 * an optional dictionary-encoded :class:`~repro.relational.columnar.ColumnStore`
-  (``_columnar``) — flat ``array('q')`` int64 columns the vectorized
-  kernels of :mod:`repro.relational.columnar` operate on.
+  (``_columnar``) — int64 NumPy columns the vectorized kernels of
+  :mod:`repro.relational.columnar` operate on.
 
 Kernel results are born columnar with ``_tuples`` unset and decode lazily
 on first set-shaped access; because decoding yields tuples *equal* to the
@@ -236,14 +236,14 @@ class Relation:
         """Drop every derived cache, keeping the relation fully usable.
 
         Clears the value-keyed index cache *in place* (renamed views alias
-        the same dict) and the columnar store's bucket-index and
-        decoded-rows caches; an encoded relation also drops its
-        materialized tuples, which decode again on demand — *unless* the
-        dictionary has unified equal-but-distinguishable values
-        (``1``/``True``/``1.0`` split across relations), in which case
-        re-decoding could swap a value for a cross-relation
-        representative, so the original tuples are retained.  Called by
-        the cache-eviction hooks of the lifecycle layer.
+        the same dict) and the columnar store's decoded-rows cache; an
+        encoded relation also drops its materialized tuples, which decode
+        again on demand — *unless* the dictionary has unified
+        equal-but-distinguishable values (``1``/``True``/``1.0`` split
+        across relations), in which case re-decoding could swap a value
+        for a cross-relation representative, so the original tuples are
+        retained.  Called by the cache-eviction hooks of the lifecycle
+        layer.
         """
         if self._index_cache is not None:
             self._index_cache.clear()
