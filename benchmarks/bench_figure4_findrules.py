@@ -13,9 +13,8 @@ disabling the full reducer.
 
 Both engines run with their production defaults (evaluation memoization
 *and* shape-grouped batching on), so the comparison is between the shipped
-engines, not the paper's unaccelerated procedures; the subsystem-isolating
-timings live in ``run_cache_ablation.py`` (``batch=False`` pinned) and
-``run_batch_ablation.py`` (memoized arm vs batched arm).
+engines, not the paper's unaccelerated procedures; ``perfbench/run.py``
+measures the shipped engines end to end.
 """
 
 import time

@@ -45,9 +45,9 @@ def test_acyclic_type0_query_scaling(benchmark, record, length):
 
 @pytest.mark.parametrize("cache", [True, False])
 def test_ablation_cache_on_acyclic_chain(benchmark, record, cache):
-    """The acyclic workload of the cache/fast-path ablation: the chain
-    metaquery's body joins are acyclic, so the memoized layer also takes the
-    Yannakakis full-reducer path."""
+    """The memo cache on an acyclic chain: the chain metaquery's body joins
+    are acyclic, so with or without the cache they take the Yannakakis
+    full-reducer path."""
     db = chain_database(relations=6, tuples_per_relation=40, planted_fraction=0.3, seed=2)
     mq = chain_metaquery(3)
     assert classify(mq) == "acyclic"

@@ -16,8 +16,7 @@ order, same exact fractions): sharding is a pure performance knob.
 
 A genuine speedup needs hardware parallelism — the script prints the
 host's CPU count next to the timings; on a single-CPU machine the sharded
-run measures dispatch overhead instead (see
-``benchmarks/run_shard_ablation.py``, which records the same caveat).
+run measures dispatch overhead instead.
 """
 
 from __future__ import annotations

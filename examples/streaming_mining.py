@@ -18,8 +18,8 @@ Two demonstrations of the Request/Prepared/Stream API:
 
 Both paths emit answers byte-identical to the blocking ``find_rules``
 result — streaming changes *when* answers become visible, never what they
-are (see ``benchmarks/run_stream_latency.py`` for the measured
-time-to-first-answer gap).
+are (``perfbench/run.py`` reports the measured time-to-first-answer as
+``ttfa_p50_ms``).
 """
 
 from __future__ import annotations

@@ -108,7 +108,7 @@ class AsyncMetaqueryEngine:
         budget's nominal size, kept for introspection only).
     engine_kwargs:
         Forwarded to :class:`MetaqueryEngine` when a database is given
-        (``cache=`` / ``fast_path=`` / ``batch=`` / ``workers=`` ...).
+        (``cache=`` / ``batch=`` / ``workers=`` ...).
 
     The async facade adds no mining semantics of its own: every result —
     including streamed answer order — is byte-identical to the wrapped

@@ -161,9 +161,10 @@ class AnswerSet:
 
     Answers keep the engine's emission order, which is deterministic for a
     given database/metaquery/type — identical across the ``cache``,
-    ``fast_path``, ``batch`` and ``workers`` ablation arms — so two answer
-    sets from equivalent runs compare byte-for-byte; the ablation
-    benchmarks and sharding property tests rely on exactly that.
+    ``batch``, ``columnar`` and ``workers`` ablation arms — so two answer
+    sets from equivalent runs compare byte-for-byte; the benchmark's
+    reference check and the differential property tests rely on exactly
+    that.
 
     Examples
     --------

@@ -74,7 +74,7 @@ def _require_bool(value: object, name: str) -> bool:
 class MetaqueryEngine:
     """Answer metaqueries over one database instance.
 
-    The four acceleration switches are independent and compose; all are
+    The acceleration switches are independent and compose; all are
     observationally invisible (same answers, same order, same exact
     :class:`~fractions.Fraction` values) — they only change how fast the
     answers arrive.
@@ -92,13 +92,10 @@ class MetaqueryEngine:
         Memoize atom relations, joins and fractions across calls in a
         persistent :class:`~repro.datalog.context.EvaluationContext`
         (default on).
-    fast_path:
-        Enable the acyclic Yannakakis full-reducer fast path in
-        ``join_atoms`` (default on; independent of ``cache``).
     batch:
         Evaluate shape groups of instantiations in one batched pass over a
         persistent :class:`~repro.datalog.batching.BatchEvaluator`
-        (default on; independent of ``cache`` and ``fast_path``).
+        (default on; independent of ``cache``).
     workers:
         Shard shape groups across a ``multiprocessing`` pool of this many
         worker processes (default 1 = serial, no pool is ever spawned).
@@ -155,7 +152,6 @@ class MetaqueryEngine:
         db: Database,
         default_itype: InstantiationType | int = InstantiationType.TYPE_0,
         cache: bool = True,
-        fast_path: bool = True,
         batch: bool = True,
         workers: int = 1,
         cache_limit: CacheLimit | int | tuple | None = None,
@@ -165,7 +161,6 @@ class MetaqueryEngine:
         self.db = db
         self.default_itype = InstantiationType.coerce(default_itype)
         cache = _require_bool(cache, "cache")
-        fast_path = _require_bool(fast_path, "fast_path")
         batch = _require_bool(batch, "batch")
         # The columnar-kernel switch is kept tri-state: ``None`` defers to
         # the *ambient* switch (``use_columnar``) resolved at each call
@@ -196,11 +191,9 @@ class MetaqueryEngine:
             )
         if request_cache is not None and request_cache < 0:
             raise EngineError(f"request_cache must be >= 0, got {request_cache}")
-        # The context doubles as the configuration carrier: with cache=False
-        # it stores nothing but still propagates the fast_path switch.
-        self.context = EvaluationContext(
-            db, fast_path=fast_path, caching=cache, cache_limit=self.cache_limit
-        )
+        # Built even with cache=False (it then stores nothing), so stats()
+        # and the evaluation calls see one shape in every configuration.
+        self.context = EvaluationContext(db, caching=cache, cache_limit=self.cache_limit)
         self.batch = batch
         # Persistent across calls, like the context, so repeated metaqueries
         # reuse materialized shape groups.  Shares the context's lifecycle
@@ -212,7 +205,7 @@ class MetaqueryEngine:
         self.workers = workers
         self.sharder = (
             ShardedEvaluator(
-                db, self.workers, fast_path=fast_path, cache=cache, batch=batch,
+                db, self.workers, cache=cache, batch=batch,
                 cache_limit=self.cache_limit, columnar=self.columnar,
             )
             if self.workers > 1

@@ -19,8 +19,8 @@ prescribes (Section 4):
    agrees with the body instantiation test cover (``|h ⋉ b| / |h|``) and
    confidence (``|b ⋉ h'| / |b|``).
 
-Four ablation switches quantify the design choices (used by the ablation
-benchmarks): ``prune_empty`` disables step 2's pruning,
+Four ablation switches quantify the design choices (the Figure 4
+benchmark runs the first two): ``prune_empty`` disables step 2's pruning,
 ``use_full_reducer`` replaces step 3's semijoin program by recomputing the
 body join from scratch (support is then read off that recomputed join —
 the half-reduced node relations would overestimate it), ``batch``
@@ -464,11 +464,7 @@ def iter_find_rules(
         db, mq, thresholds, itype, prune_empty, use_full_reducer, decomposition, ctx, batcher
     )
     if decomposition is None:
-        resolved, owned = resolve_sharder(
-            db, workers, sharder,
-            fast_path=ctx.fast_path if ctx is not None else True,
-            cache=cache, batch=batch,
-        )
+        resolved, owned = resolve_sharder(db, workers, sharder, cache=cache, batch=batch)
         if resolved is not None:
             return _close_after(_sharded_iter_find_rules(run, resolved), resolved, owned)
     return run.iter_run()

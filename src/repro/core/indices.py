@@ -60,8 +60,7 @@ def fraction(
     ``r_atoms`` and ``s_atoms`` are the two atom sets; the database supplies
     their relations.  Returns an exact rational in ``[0, 1]``.  With a
     context, the value is memoized keyed by the normalized shape of the atom
-    pair, and the component joins take the context's caches and acyclicity
-    fast path.
+    pair, and the component joins go through the context's caches.
     """
     if not r_atoms:
         raise IndexError_("the left-hand atom set of a fraction must be non-empty")

@@ -291,11 +291,7 @@ def iter_answers(
     serial path's.  This generator is the core the streaming API
     (``PreparedMetaquery.stream``) builds on.
     """
-    resolved, owned = _make_sharder(
-        db, workers, sharder,
-        fast_path=ctx.fast_path if ctx is not None else True,
-        cache=cache, batch=batch,
-    )
+    resolved, owned = _make_sharder(db, workers, sharder, cache=cache, batch=batch)
     if resolved is not None:
         try:
             yield from _sharded_answers(db, mq, itype, resolved)
@@ -393,11 +389,7 @@ def naive_decide(
     index_obj = get_index(index)
     k = validate_threshold(k)
     if index_obj is SUPPORT or index_obj is CONFIDENCE or index_obj is COVER:
-        resolved, owned = _make_sharder(
-            db, workers, sharder,
-            fast_path=ctx.fast_path if ctx is not None else True,
-            cache=cache, batch=batch,
-        )
+        resolved, owned = _make_sharder(db, workers, sharder, cache=cache, batch=batch)
         if resolved is not None:
             try:
                 return _sharded_first_hit(db, mq, index_obj, k, itype, resolved) is not None
@@ -439,11 +431,7 @@ def naive_witness(
     found = None
     searched_sharded = False
     if index_obj is SUPPORT or index_obj is CONFIDENCE or index_obj is COVER:
-        resolved, owned = _make_sharder(
-            db, workers, sharder,
-            fast_path=ctx.fast_path if ctx is not None else True,
-            cache=cache, batch=batch,
-        )
+        resolved, owned = _make_sharder(db, workers, sharder, cache=cache, batch=batch)
         if resolved is not None:
             try:
                 found = _sharded_first_hit(db, mq, index_obj, k, itype, resolved)

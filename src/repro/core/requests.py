@@ -27,8 +27,8 @@ explicit stages:
 The FindRules algorithm (Figure 4) and the naive enumerate-and-test
 procedure are both naturally incremental — answers are confirmed one
 instantiation / branch at a time — which is what makes time-to-first-answer
-a meaningful latency metric for interactive mining (see
-``benchmarks/run_stream_latency.py``).
+a meaningful latency metric for interactive mining (``perfbench``
+reports it as ``ttfa_p50_ms``).
 
 :mod:`repro.core.aio` builds the asyncio front-end on top of this module.
 """

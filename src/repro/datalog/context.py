@@ -26,9 +26,7 @@ single evaluation remains unsupported, as before.  Entries live in a
 :class:`~repro.datalog.lifecycle.LifecycleCache`, optionally bounded by a
 :class:`~repro.datalog.lifecycle.CacheLimit` (LRU eviction across the
 atom/join/fraction sections and any sharing
-:class:`~repro.datalog.batching.BatchEvaluator`).  The ``fast_path`` flag
-enables the Yannakakis full-reducer pipeline for acyclic atom sets in
-:func:`repro.datalog.evaluation.join_atoms`.
+:class:`~repro.datalog.batching.BatchEvaluator`).
 """
 
 from __future__ import annotations
@@ -124,13 +122,9 @@ class EvaluationContext:
         The database the cached results are valid for.  Evaluation
         functions receiving a context for a *different* database silently
         bypass it.
-    fast_path:
-        Enable the acyclicity fast path (Yannakakis full reducer) in
-        :func:`repro.datalog.evaluation.join_atoms`.
     caching:
-        When False, the context still carries configuration (``fast_path``)
-        but never stores or serves memoized results — the full uncached
-        ablation baseline.
+        When False, the context never stores or serves memoized results —
+        the full uncached ablation baseline.
     cache_limit:
         Optional :class:`~repro.datalog.lifecycle.CacheLimit` (or the int /
         pair spellings it coerces) bounding the store; ignored when an
@@ -144,13 +138,11 @@ class EvaluationContext:
     def __init__(
         self,
         db: Database,
-        fast_path: bool = True,
         caching: bool = True,
         cache_limit: "CacheLimit | int | tuple | None" = None,
         store: LifecycleCache | None = None,
     ) -> None:
         self.db = db
-        self.fast_path = fast_path
         self.caching = caching
         self.stats = CacheStats()
         self.store = store if store is not None else LifecycleCache(CacheLimit.coerce(cache_limit))
@@ -279,7 +271,7 @@ class EvaluationContext:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
-            f"EvaluationContext(db={self.db.name!r}, fast_path={self.fast_path}, "
+            f"EvaluationContext(db={self.db.name!r}, caching={self.caching}, "
             f"atoms={len(self._atoms)}, joins={len(self._joins)}, "
             f"fractions={len(self._fractions)})"
         )

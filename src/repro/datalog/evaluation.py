@@ -10,10 +10,10 @@ satisfying substitutions for those variables.
 
 Every evaluation function accepts an optional
 :class:`~repro.datalog.context.EvaluationContext` that memoizes atom
-relations and joins across calls, and ``join_atoms`` takes an acyclicity
-fast path — when the atom set's hypergraph is acyclic, the join is computed
-by the Yannakakis full-reducer pipeline instead of the greedy left-deep
-join, keeping intermediate results bounded by input plus output size.
+relations and joins across calls.  ``join_atoms`` evaluates an acyclic atom
+set by the Yannakakis full-reducer pipeline (the paper's Section 4), which
+keeps intermediate results bounded by input plus output size; cyclic sets
+fall back to the greedy left-deep join.
 """
 
 from __future__ import annotations
@@ -149,37 +149,30 @@ def join_atoms(
     atoms: Iterable[Atom],
     db: Database,
     ctx: "EvaluationContext | None" = None,
-    fast_path: bool | None = None,
 ) -> Relation:
     """``J(R)``: the natural join of the atom relations of ``atoms``.
 
     The result's columns are the distinct variable names of the atom set in
     first-occurrence order.  An empty atom collection is rejected (the paper
     never joins zero atoms).
-
-    ``fast_path`` controls the acyclic Yannakakis pipeline; ``None`` defers
-    to the context (default on).
     """
     atoms = list(atoms)
     if not atoms:
         raise DatalogError("join_atoms requires at least one atom")
     usable = _usable(ctx, db)
-    if fast_path is None:
-        fast_path = usable.fast_path if usable is not None else True
     if usable is not None:
-        return usable.join_atoms(atoms, lambda: _join_atoms_direct(atoms, db, usable, fast_path))
-    return _join_atoms_direct(atoms, db, None, fast_path)
+        return usable.join_atoms(atoms, lambda: _join_atoms_direct(atoms, db, usable))
+    return _join_atoms_direct(atoms, db, None)
 
 
 def _join_atoms_direct(
     atoms: Sequence[Atom],
     db: Database,
     ctx: "EvaluationContext | None",
-    fast_path: bool,
 ) -> Relation:
     relations = [atom_relation(atom, db, ctx) for atom in atoms]
     joined: Relation | None = None
-    if fast_path and len(relations) > 1:
+    if len(relations) > 1:
         joined = _acyclic_join(atoms, relations)
     if joined is None:
         joined = natural_join_all(relations)

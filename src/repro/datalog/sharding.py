@@ -35,8 +35,7 @@ position (a stable sort by instantiation key).  Because every index value
 is an exact :class:`~fractions.Fraction` and the instantiations themselves
 are enumerated once in the parent (type-2 padding counters included), the
 merged answers are **byte-identical** to the serial path's for any worker
-count — the property the shard-ablation benchmark and the sharding property
-tests assert.
+count — the property the sharding property tests assert.
 
 The engine-facing entry points live with their engines
 (:mod:`repro.core.naive` ships index-evaluation and first-hit tasks,
@@ -83,7 +82,6 @@ _WORKER_BATCHER: BatchEvaluator | None = None
 
 def _init_worker(
     db: Database,
-    fast_path: bool,
     caching: bool,
     batch: bool,
     cache_limit: CacheLimit | None = None,
@@ -105,7 +103,7 @@ def _init_worker(
     """
     global _WORKER_DB, _WORKER_CTX, _WORKER_BATCHER
     _WORKER_DB = db
-    _WORKER_CTX = EvaluationContext(db, fast_path=fast_path, caching=caching, cache_limit=cache_limit)
+    _WORKER_CTX = EvaluationContext(db, caching=caching, cache_limit=cache_limit)
     _WORKER_BATCHER = BatchEvaluator(db, _WORKER_CTX) if batch else None
     if columnar_enabled is not None:
         _columnar_module.set_default(columnar_enabled)
@@ -282,7 +280,6 @@ def resolve_sharder(
     db: Database,
     workers: int,
     sharder: "ShardedEvaluator | None",
-    fast_path: bool = True,
     cache: bool = True,
     batch: bool = True,
     cache_limit: CacheLimit | None = None,
@@ -304,8 +301,7 @@ def resolve_sharder(
     if int(workers) > 1:
         return (
             ShardedEvaluator(
-                db, int(workers), fast_path=fast_path, cache=cache, batch=batch,
-                cache_limit=cache_limit,
+                db, int(workers), cache=cache, batch=batch, cache_limit=cache_limit,
                 # Owned evaluators snapshot the *caller's* current columnar
                 # setting (context override included) so a one-shot
                 # `workers=4` call behaves like its serial counterpart.
@@ -376,7 +372,7 @@ class ShardedEvaluator:
         Number of worker processes.  ``workers=1`` builds a degenerate
         evaluator whose :attr:`active` property is False and which never
         spawns a pool — callers fall back to their serial path.
-    fast_path, cache, batch:
+    cache, batch:
         Forwarded to each worker's private evaluator pair (``batch=False``
         builds no worker batcher at all), so the serial ablation switches
         compose with sharding exactly as they do serially.
@@ -390,17 +386,16 @@ class ShardedEvaluator:
         platform offers it and ``spawn`` otherwise.
 
     The pool is created lazily on the first :meth:`map` and reused across
-    calls until :meth:`close` (also invoked by ``with`` blocks and, as a
-    last resort, the finalizer).  A task exception propagates to the caller
-    but leaves the pool healthy, so one failing metaquery does not tear
-    down the evaluator shared by subsequent calls.
+    calls until :meth:`close` (also invoked by ``with`` blocks; as a last
+    resort, the finalizer shuts the pool down).  A task exception
+    propagates to the caller but leaves the pool healthy, so one failing
+    metaquery does not tear down the evaluator shared by subsequent calls.
     """
 
     def __init__(
         self,
         db: Database,
         workers: int = 2,
-        fast_path: bool = True,
         cache: bool = True,
         batch: bool = True,
         start_method: str | None = None,
@@ -412,7 +407,6 @@ class ShardedEvaluator:
             raise ShardingError(f"worker count must be >= 1, got {workers}")
         self.db = db
         self.workers = workers
-        self.fast_path = fast_path
         self.cache = cache
         self.batch = batch
         self.cache_limit = CacheLimit.coerce(cache_limit)
@@ -468,10 +462,7 @@ class ShardedEvaluator:
                 self._pool = context.Pool(
                     processes=self.workers,
                     initializer=_init_worker,
-                    initargs=(
-                        self.db, self.fast_path, self.cache, self.batch,
-                        self.cache_limit, self.columnar,
-                    ),
+                    initargs=(self.db, self.cache, self.batch, self.cache_limit, self.columnar),
                 )
                 self.stats.pool_starts += 1
                 self._watcher = GenerationWatcher(self.db)
@@ -679,8 +670,12 @@ class ShardedEvaluator:
         self.close()
 
     def __del__(self) -> None:  # pragma: no cover - finalizer timing varies
+        # Unlike close(), no lock: nothing else can reach an evaluator that
+        # is being finalized, and the cyclic GC may run this on a thread
+        # that already holds another evaluator's lock (pool creation
+        # allocates), which would nest two locks of this class.
         try:
-            self.close()
+            _shutdown_pool(self._pool)
         except Exception:  # repro-lint: disable=no-silent-except
             # Interpreter-shutdown finalizer: modules may already be torn
             # down, and raising from __del__ only prints noise to stderr.

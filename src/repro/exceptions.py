@@ -91,7 +91,7 @@ class EngineError(ReproError, ValueError):
     Raised by :class:`~repro.core.engine.MetaqueryEngine` and
     :class:`~repro.core.requests.MetaqueryRequest` construction when an
     argument is out of range (``workers < 1``), of the wrong type (the
-    ``cache``/``fast_path``/``batch`` switches must be real booleans) or
+    ``cache``/``batch``/``columnar`` switches must be real booleans) or
     names an unknown algorithm.  Subclasses :class:`ValueError` so callers
     that predate the request API keep working unchanged.
     """

@@ -93,8 +93,7 @@ def execute_full_reducer(
 def is_reduced(relations: Mapping[Label, Relation]) -> bool:
     """Check Definition 4.1: every relation equals the projection of the full join.
 
-    Quadratic in the join size; used by tests and the ablation benchmarks,
-    not by the engine itself.
+    Quadratic in the join size; used by tests, not by the engine itself.
     """
     rels = list(relations.values())
     if not rels:

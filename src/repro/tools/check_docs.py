@@ -16,7 +16,7 @@ Three kinds of reference are verified:
   expose the trailing attribute (so ``repro.workloads.telecom.db1`` checks
   ``db1`` on ``repro.workloads.telecom``);
 * **repo-relative file paths** in backticks ending in ``.py``/``.md``/
-  ``.json``/``.yml`` (e.g. ``benchmarks/run_shard_ablation.py``) — the
+  ``.json``/``.yml`` (e.g. ``perfbench/run.py``) — the
   file must exist relative to the repo root.  Paths containing glob
   characters are checked as globs and must match at least one file.
 

@@ -5,8 +5,8 @@
   scalable synthetic generator that preserves the same dependencies;
 * :mod:`~repro.workloads.synthetic` — random databases with planted rules,
   chain/star-join databases for the scaling experiments;
-* :mod:`~repro.workloads.scaling` — size-parameterised wrappers (total
-  tuple budget 10^3 → 10^5) driving the ablation scaling curves;
+* :mod:`~repro.workloads.scaling` — a chain database parameterised by its
+  total tuple budget, the data-complexity benchmark's input;
 * :mod:`~repro.workloads.graphs` — random graphs, guaranteed-3-colorable
   graphs, path/cycle graphs and Hamiltonian-path gadgets used by the
   hardness-reduction experiments;

@@ -1,38 +1,20 @@
-"""Size-parameterised workloads for the columnar / cache scaling curves.
+"""A size-parameterised chain database for data-complexity measurements.
 
-The ablation benchmarks (``benchmarks/run_cache_ablation.py`` and
-``benchmarks/run_columnar_ablation.py``) sweep database size ``d`` over
-several orders of magnitude (10^3 → 10^5 total tuples) while holding the
-metaquery shape fixed.  This module provides the deterministic generators
-for those sweeps: each point of a curve is a :func:`scaled_chain_database`
-(or its star-join sibling) whose *total* tuple budget is the sweep
-parameter, so the x-axis of a scaling plot is directly comparable across
-workload shapes.
+:func:`scaled_chain_database` takes the *total* tuple budget ``d`` as its
+parameter while the metaquery shape stays fixed, so a measurement's x-axis
+is the database size itself.  The ``join_cold`` workload of
+``perfbench/workloads.py`` loads one at 3·10^4 tuples.
 
-The generators delegate to :mod:`repro.workloads.synthetic` — they add the
-"budget" parameterisation and the canonical sweep sizes, not new structure.
+The generator delegates to :mod:`repro.workloads.synthetic` — it adds the
+"budget" parameterisation, not new structure.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
-
 from repro.relational.database import Database
-from repro.workloads.synthetic import chain_database, star_database
+from repro.workloads.synthetic import chain_database
 
-__all__ = [
-    "SCALING_SIZES",
-    "SMOKE_SIZES",
-    "scaled_chain_database",
-    "scaled_star_database",
-    "scaling_curve",
-]
-
-#: Canonical total-tuple budgets for the full scaling curve (10^3 → 10^5).
-SCALING_SIZES: tuple[int, ...] = (1_000, 10_000, 100_000)
-
-#: The budgets used by the CI smoke leg — the smallest full point only.
-SMOKE_SIZES: tuple[int, ...] = (1_000,)
+__all__ = ["scaled_chain_database"]
 
 
 def scaled_chain_database(
@@ -45,7 +27,7 @@ def scaled_chain_database(
 
     The budget is split evenly across ``relations`` binary relations; the
     domain grows with the per-relation size so selectivity stays roughly
-    constant along the sweep (doubling ``d`` should roughly double join
+    constant as ``d`` grows (doubling ``d`` should roughly double join
     input *and* output, which is the regime where the paper's ``d^c log d``
     body-phase cost is visible).
     """
@@ -61,33 +43,3 @@ def scaled_chain_database(
         seed=seed,
         name=f"scaled-chain-{total_tuples}",
     )
-
-
-def scaled_star_database(
-    total_tuples: int,
-    rays: int = 4,
-    seed: int = 0,
-) -> Database:
-    """A star-join database holding ``total_tuples`` tuples overall."""
-    if total_tuples < rays:
-        raise ValueError("total_tuples must be at least the ray count")
-    per_relation = total_tuples // rays
-    return star_database(
-        rays=rays,
-        tuples_per_relation=per_relation,
-        domain_size=max(4, per_relation // 2),
-        seed=seed,
-    )
-
-
-def scaling_curve(
-    smoke: bool = False,
-    sizes: Sequence[int] | None = None,
-) -> tuple[int, ...]:
-    """The sweep sizes to run: explicit ``sizes``, else smoke/full defaults."""
-    if sizes is not None:
-        chosen = tuple(int(size) for size in sizes)
-        if not chosen or any(size <= 0 for size in chosen):
-            raise ValueError("sizes must be a non-empty sequence of positive ints")
-        return chosen
-    return SMOKE_SIZES if smoke else SCALING_SIZES

@@ -22,8 +22,26 @@ from repro.core.engine import MetaqueryEngine
 from repro.core.metaquery import parse_metaquery
 from repro.core.requests import MetaqueryRequest, PreparedMetaquery, resolve_algorithm
 from repro.exceptions import EngineError, MetaqueryError, ReproError
+from repro.workloads.synthetic import chain_database, chain_metaquery
+from repro.workloads.telecom import scaled_telecom
 
 TRANSITIVITY = parse_metaquery("R(X,Z) <- P(X,Y), Q(Y,Z)")
+FIGURE4_THRESHOLDS = Thresholds(support=0.2, confidence=0.3, cover=0.1)
+
+#: name -> (tenant, metaquery, thresholds, itype, algorithm): three Figure-4
+#: requests on the scaled telecom workload and one acyclic chain.
+FIGURE4_SCENARIOS = {
+    "naive_baseline_telecom": ("telecom", TRANSITIVITY, None, 0, "naive"),
+    "naive_type2_telecom": ("telecom", TRANSITIVITY, FIGURE4_THRESHOLDS, 2, "naive"),
+    "findrules_telecom": ("telecom", TRANSITIVITY, FIGURE4_THRESHOLDS, 0, "findrules"),
+    "acyclic_chain_findrules": (
+        "chain",
+        chain_metaquery(3),
+        Thresholds(support=0.1, confidence=0.0, cover=0.0),
+        0,
+        "findrules",
+    ),
+}
 
 
 def exact_table(answers):
@@ -93,7 +111,7 @@ class TestEngineValidation:
         with pytest.raises(EngineError, match="workers must be an int"):
             MetaqueryEngine(telecom_db, workers=workers)
 
-    @pytest.mark.parametrize("switch", ["cache", "fast_path", "batch"])
+    @pytest.mark.parametrize("switch", ["cache", "batch"])
     @pytest.mark.parametrize("value", ["no", 0, 1, None, object()])
     def test_non_bool_switches_rejected(self, telecom_db, switch, value):
         with pytest.raises(EngineError, match=f"{switch} must be a bool"):
@@ -144,6 +162,16 @@ class TestPrepare:
         engine = MetaqueryEngine(telecom_db, default_itype=1)
         prepared = engine.prepare(TRANSITIVITY)
         assert int(prepared.request.itype) == 1
+
+
+@pytest.fixture(scope="module")
+def scaled_telecom_db():
+    return scaled_telecom(users=25, carriers=6, technologies=5, noise=0.1, seed=1)
+
+
+@pytest.fixture(scope="module")
+def figure4_chain_db():
+    return chain_database(relations=6, tuples_per_relation=25, planted_fraction=0.3, seed=2)
 
 
 # ----------------------------------------------------------------------
@@ -212,8 +240,53 @@ class TestStreamCollectEquivalence:
         assert collected.algorithm == "findrules"
         assert exact_table(collected) == exact_table(prepared.collect())
 
+    @pytest.mark.parametrize("scenario", sorted(FIGURE4_SCENARIOS))
+    def test_cold_stream_equals_cold_collect_on_figure4_scenarios(
+        self, scaled_telecom_db, figure4_chain_db, scenario
+    ):
+        # Each side runs on its own fresh engine, so both start from cold
+        # caches; equal tables mean the first streamed answer is collect()[0].
+        tenant, metaquery, thresholds, itype, algorithm = FIGURE4_SCENARIOS[scenario]
+        db = scaled_telecom_db if tenant == "telecom" else figure4_chain_db
+
+        def prepare():
+            return MetaqueryEngine(db).prepare(
+                metaquery, thresholds, itype=itype, algorithm=algorithm
+            )
+
+        collected = exact_table(prepare().collect())
+        assert collected
+        assert exact_table(prepare().stream()) == collected
+
 
 class TestStreamIncrementality:
+    @pytest.mark.parametrize(
+        "algorithm, itype, thresholds",
+        [
+            ("naive", 0, None),
+            ("naive", 1, None),
+            ("naive", 2, None),
+            # FindRules type 0 is left out: its only answer here comes last.
+            ("findrules", 1, FIGURE4_THRESHOLDS),
+            ("findrules", 2, FIGURE4_THRESHOLDS),
+        ],
+    )
+    def test_first_answer_is_yielded_before_the_search_ends(
+        self, scaled_telecom_db, algorithm, itype, thresholds
+    ):
+        # Time to first answer, counted in work instead of wall time: when
+        # the stream yields its first answer the engine has answered fewer
+        # head instantiations than a full collection of the same request.
+        full = MetaqueryEngine(scaled_telecom_db)
+        full.find_rules(TRANSITIVITY, thresholds, itype=itype, algorithm=algorithm)
+        total = full.stats()["batch"]["members"]
+        engine = MetaqueryEngine(scaled_telecom_db)
+        stream = engine.stream(TRANSITIVITY, thresholds, itype=itype, algorithm=algorithm)
+        next(stream)
+        at_first_answer = engine.stats()["batch"]["members"]
+        stream.close()
+        assert 0 < at_first_answer < total
+
     def test_early_stop_serial(self, telecom_db):
         engine = MetaqueryEngine(telecom_db)
         stream = engine.stream(TRANSITIVITY, itype=0)

@@ -9,6 +9,7 @@ idempotent close, clean shutdown on exceptions, `workers=1` never spawns).
 from __future__ import annotations
 
 import multiprocessing
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -27,6 +28,7 @@ from repro.datalog.sharding import (
     worker_state,
 )
 from repro.exceptions import ShardingError
+from repro.tools import sanitizer
 from repro.workloads.telecom import db1, scaled_telecom
 
 TRANSITIVITY = parse_metaquery("R(X,Z) <- P(X,Y), Q(Y,Z)")
@@ -133,6 +135,30 @@ def test_resolve_sharder_ignores_foreign_and_closed_evaluators():
     assert resolved is not None and owned and resolved.workers == 3
     resolved.close()
     foreign.close()
+
+
+def test_finalizer_releases_the_pool_without_taking_its_lock():
+    # The cyclic GC can finalize a dropped evaluator on a thread that holds
+    # a live evaluator's lock (pool creation allocates).  The sanitizer
+    # keys lock order by class name, so a finalizer that took its own lock
+    # there would record ShardedEvaluator -> ShardedEvaluator.
+    name = "repro.datalog.sharding:ShardedEvaluator"
+    live = ShardedEvaluator(db1(), workers=2)
+    live._lock = sanitizer.SanitizedLock(name)
+    dropped = ShardedEvaluator(db1(), workers=2)
+    dropped._lock = sanitizer.SanitizedLock(name)
+    dropped.warm_up()
+    processes = list(dropped._pool._pool)
+    gone = weakref.ref(dropped)
+    sanitizer.reset()
+    with live._lock:
+        del dropped  # the last reference: the finalizer runs here
+        assert gone() is None
+    assert sanitizer.inversions() == ()
+    for process in processes:
+        process.join(timeout=10)
+        assert process.exitcode is not None
+    live.close()
 
 
 # ----------------------------------------------------------------------

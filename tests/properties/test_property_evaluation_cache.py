@@ -1,10 +1,10 @@
 """Property tests for the evaluation acceleration subsystem.
 
-The cache/fast-path layer must be *observationally invisible*: on any
-database and metaquery, the memoized, indexed, Yannakakis-accelerated
-pipeline returns exactly the same answers (rules and all three index
-values) as the uncached naive reference, and ``join_atoms`` returns the
-same relation with the fast path on and off.
+The memo cache must be *observationally invisible*: on any database and
+metaquery, the memoized, indexed, Yannakakis-accelerated pipeline returns
+exactly the same answers (rules and all three index values) as the
+uncached naive reference, and ``join_atoms`` returns the same relation as
+the greedy left-deep join of its atom relations.
 """
 
 from fractions import Fraction
@@ -16,9 +16,11 @@ from repro.core.answers import Thresholds
 from repro.core.findrules import find_rules
 from repro.core.metaquery import parse_metaquery
 from repro.core.naive import naive_decide, naive_find_rules, naive_witness
+from repro.datalog.atoms import variables_of
 from repro.datalog.context import EvaluationContext
-from repro.datalog.evaluation import join_atoms
+from repro.datalog.evaluation import atom_relation, join_atoms
 from repro.datalog.parser import parse_query
+from repro.relational.algebra import natural_join_all
 from repro.relational.database import Database
 from repro.relational.relation import Relation
 
@@ -102,11 +104,12 @@ def test_cached_decide_and_witness_agree_with_uncached(db, k):
     ),
 )
 @settings(max_examples=30, deadline=None)
-def test_join_atoms_fast_path_matches_greedy_join(db, atoms):
-    fast = join_atoms(atoms, db, fast_path=True)
-    slow = join_atoms(atoms, db, fast_path=False)
-    assert fast.columns == slow.columns
-    assert fast.tuples == slow.tuples
+def test_join_atoms_matches_greedy_join(db, atoms):
+    joined = join_atoms(atoms, db)
+    greedy = natural_join_all([atom_relation(atom, db) for atom in atoms])
+    greedy = greedy.project([v.name for v in variables_of(atoms)])
+    assert joined.columns == greedy.columns
+    assert joined.tuples == greedy.tuples
 
 
 @given(small_databases())

@@ -35,9 +35,8 @@ CHAIN_MQ = str(chain_metaquery(3))
 FIGURE4_THRESHOLDS = {"support": 0.2, "confidence": 0.3, "cover": 0.1}
 CHAIN_THRESHOLDS = {"support": 0.1, "confidence": 0.0, "cover": 0.0}
 
-#: (name, tenant, metaquery, flat threshold fields, itype, algorithm) — the
-#: four Figure-4 scenarios of ``benchmarks/run_stream_latency.py`` at its
-#: ``--smoke`` sizes.
+#: (name, tenant, metaquery, flat threshold fields, itype, algorithm) —
+#: three Figure-4 requests on the telecom workload and one acyclic chain.
 SCENARIOS = [
     ("figure4_naive_baseline_telecom", "telecom", TRANSITIVITY, {}, 0, "naive"),
     ("figure4_naive_type2_telecom", "telecom", TRANSITIVITY, FIGURE4_THRESHOLDS, 2, "naive"),

@@ -24,13 +24,7 @@ from repro.workloads.synthetic import (
     transitive_chain_metaquery,
     widen_metaquery_arity,
 )
-from repro.workloads.scaling import (
-    SCALING_SIZES,
-    SMOKE_SIZES,
-    scaled_chain_database,
-    scaled_star_database,
-    scaling_curve,
-)
+from repro.workloads.scaling import scaled_chain_database
 from repro.workloads.telecom import db1, db1_prime, scaled_telecom
 from repro.workloads.university import university_database
 
@@ -198,23 +192,3 @@ class TestScaling:
     def test_chain_rejects_tiny_budget(self):
         with pytest.raises(ValueError):
             scaled_chain_database(3, relations=5)
-
-    def test_star_budget_split(self):
-        db = scaled_star_database(400, rays=4)
-        assert len(db.relation_names) == 4
-        assert db.total_tuples() <= 400
-
-    def test_star_rejects_tiny_budget(self):
-        with pytest.raises(ValueError):
-            scaled_star_database(2, rays=4)
-
-    def test_curve_defaults(self):
-        assert scaling_curve() == SCALING_SIZES
-        assert scaling_curve(smoke=True) == SMOKE_SIZES
-        assert scaling_curve(sizes=[500, 2000]) == (500, 2000)
-
-    def test_curve_rejects_bad_sizes(self):
-        with pytest.raises(ValueError):
-            scaling_curve(sizes=[])
-        with pytest.raises(ValueError):
-            scaling_curve(sizes=[0])
