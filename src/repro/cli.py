@@ -13,18 +13,16 @@ Usage (also available as ``python -m repro``)::
 ``DATA_DIR`` must contain one CSV file per relation (header row = column
 names), as produced by :func:`repro.relational.io.save_database`.
 
-The ``mine`` subcommand exposes the engine's three ablation switches:
-``--no-cache`` (evaluation memoization), ``--no-batch`` (shape-grouped
-batched evaluation) and ``--workers N`` (shard shape groups across N
-worker processes; the default ``--workers 1`` is fully serial and never
-spawns a pool), plus the cache lifecycle knobs ``--cache-limit N``
-(LRU-bound the memoization caches for long-running use) and
-``--no-request-cache`` (disable the request-level answer cache).  All
-switches only change speed, never answers — see ``docs/architecture.md``
-for the full matrix.  ``--stream`` prints answers incrementally as the
-engine confirms them (with ``--limit`` as an early stop) and ``--stats``
-reports the cache/batch/lifecycle/request/shard telemetry counters after
-mining.
+The ``mine`` subcommand runs the engine at its production defaults, with
+``--workers N`` (shard shape groups across N worker processes; the
+default ``--workers 1`` is fully serial and never spawns a pool) and the
+cache lifecycle knobs ``--cache-limit N`` (LRU-bound the memoization
+caches for long-running use) and ``--no-request-cache`` (disable the
+request-level answer cache).  These only change speed, never answers —
+see ``docs/architecture.md`` for the full matrix.  ``--stream`` prints
+answers incrementally as the engine confirms them (with ``--limit`` as an
+early stop) and ``--stats`` reports the cache/batch/lifecycle/request/shard
+telemetry counters after mining.
 
 The ``serve`` subcommand puts the :mod:`repro.server` HTTP/1.1 + SSE
 front end over one or more CSV database directories (database-per-tenant)
@@ -67,10 +65,6 @@ def _build_parser() -> argparse.ArgumentParser:
     mine.add_argument("--algorithm", choices=ALGORITHMS, default="auto")
     mine.add_argument("--sort-by", choices=("sup", "cnf", "cvr"), default="cnf")
     mine.add_argument("--limit", type=int, default=None, help="print at most this many answers")
-    mine.add_argument("--no-cache", action="store_true",
-                      help="disable evaluation memoization (ablation baseline)")
-    mine.add_argument("--no-batch", action="store_true",
-                      help="disable shape-grouped batched instantiation evaluation")
     mine.add_argument("--workers", type=int, default=1, metavar="N",
                       help="shard shape groups across N worker processes "
                            "(default 1: serial, no pool is spawned)")
@@ -141,8 +135,8 @@ def _run_mine(args: argparse.Namespace) -> int:
     """``mine``: answer one metaquery over a CSV database directory.
 
     Builds a :class:`~repro.core.engine.MetaqueryEngine` with the requested
-    ablation switches (``--no-cache``/``--no-batch``/``--workers``), runs
-    the request pipeline and prints a sorted answer table — or, with
+    ``--workers``, ``--cache-limit`` and request-cache settings, runs the
+    request pipeline and prints a sorted answer table — or, with
     ``--stream``, each answer the moment the engine confirms it
     (time-to-first-answer instead of full-collection latency; ``--limit``
     then stops the evaluation early).  The engine is used as a
@@ -159,8 +153,6 @@ def _run_mine(args: argparse.Namespace) -> int:
     with MetaqueryEngine(
         db,
         default_itype=args.itype,
-        cache=not args.no_cache,
-        batch=not args.no_batch,
         workers=args.workers,
         cache_limit=args.cache_limit,
         request_cache=None if args.no_request_cache else 128,
@@ -174,8 +166,6 @@ def _run_mine(args: argparse.Namespace) -> int:
         print(
             f"# thresholds: {thresholds}   type-{args.itype}   "
             f"algorithm={prepared.algorithm} (requested {args.algorithm})   "
-            f"cache={'off' if args.no_cache else 'on'}   "
-            f"batch={'off' if args.no_batch else 'on'}   "
             f"workers={args.workers}"
         )
         if args.stream:

@@ -11,19 +11,22 @@ switch:
 * ``"auto"`` — FindRules whenever at least one threshold is enabled,
   otherwise naive (FindRules' pruning needs a threshold to be sound).
 
-The engine also owns the persistent acceleration state shared by every
-call:
+The engine is the one place that turns its switches into the persistent
+acceleration state shared by every call:
 
-* an :class:`~repro.datalog.context.EvaluationContext` (``cache=True``,
-  the default), so repeated metaqueries over the same database reuse
-  memoized atom relations, joins and fractions;
+* an :class:`~repro.datalog.context.EvaluationContext` (memoizing with
+  ``cache=True``, the default), so repeated metaqueries over the same
+  database reuse memoized atom relations, joins and fractions;
 * with ``batch=True`` (also the default), a persistent
-  :class:`~repro.datalog.batching.BatchEvaluator` that evaluates whole
-  shape groups of instantiations from one materialized canonical join;
+  :class:`~repro.datalog.batching.BatchEvaluator` sitting on that context,
+  which evaluates whole shape groups of instantiations from one
+  materialized canonical join;
 * with ``workers > 1``, a persistent
   :class:`~repro.datalog.sharding.ShardedEvaluator` whose worker pool is
   reused across calls and released by :meth:`MetaqueryEngine.close` (or a
-  ``with`` block).
+  ``with`` block) — the only code that starts and stops process pools;
+* the ``columnar`` flag, fixed at construction and pinned around every
+  evaluation.
 
 In-place database mutations *between* calls are safe: the database's
 per-relation generation counters let every cache invalidate itself
@@ -105,7 +108,8 @@ class MetaqueryEngine:
     cache_limit:
         Bound the memoization caches for long-running use: an int caps the
         total entry count across the context's atoms/joins/fractions and
-        the batcher's shape groups (they share one LRU store), a
+        the batcher's shape groups (the batcher keeps them in the
+        context's LRU store), a
         ``(max_entries, max_tuples)`` pair or
         :class:`~repro.datalog.lifecycle.CacheLimit` also caps the summed
         cached-relation sizes.  Evicted entries recompute on demand —
@@ -115,10 +119,9 @@ class MetaqueryEngine:
     columnar:
         Run the relational algebra on the dictionary-encoded columnar
         kernels (:mod:`repro.relational.columnar`) instead of per-tuple
-        set operations.  ``None`` (default) defers to the *ambient*
-        switch at each call — :func:`use_columnar` contexts active when a
-        metaquery runs, on unless disabled — mirroring the ablation style
-        of ``cache=`` / ``batch=`` / ``workers=``.  Like them it is
+        set operations (default on).  Fixed here and pinned around every
+        evaluation, whatever :func:`~repro.relational.columnar.use_columnar`
+        context the caller runs in.  Like the other switches it is
         observationally invisible: answers, order and exact Fractions are
         byte-identical either way.  With ``workers > 1`` the setting is
         forwarded to the pool workers.
@@ -156,24 +159,13 @@ class MetaqueryEngine:
         workers: int = 1,
         cache_limit: CacheLimit | int | tuple | None = None,
         request_cache: int | None = 128,
-        columnar: bool | None = None,
+        columnar: bool = True,
     ) -> None:
         self.db = db
         self.default_itype = InstantiationType.coerce(default_itype)
         cache = _require_bool(cache, "cache")
         batch = _require_bool(batch, "batch")
-        # The columnar-kernel switch is kept tri-state: ``None`` defers to
-        # the *ambient* switch (``use_columnar``) resolved at each call
-        # through the ``columnar`` property — so
-        # ``with use_columnar(False): engine.decide(...)`` is honoured for
-        # an engine built outside the block, matching the module-level
-        # functions.  An explicit True/False stays pinned.  Worker
-        # processes (``workers > 1``) snapshot the resolution at engine
-        # construction instead: their process default is set once by the
-        # pool initializer.
-        self._columnar_option = (
-            None if columnar is None else _require_bool(columnar, "columnar")
-        )
+        self.columnar = _require_bool(columnar, "columnar")
         # bool is an int subclass: reject True/False before the range check
         # so `workers=False` reads as a type error, not "workers must be >= 1".
         if isinstance(workers, bool) or not isinstance(workers, int):
@@ -196,10 +188,10 @@ class MetaqueryEngine:
         self.context = EvaluationContext(db, caching=cache, cache_limit=self.cache_limit)
         self.batch = batch
         # Persistent across calls, like the context, so repeated metaqueries
-        # reuse materialized shape groups.  Shares the context's lifecycle
+        # reuse materialized shape groups.  Sits on the context's lifecycle
         # store, so cache_limit caps atoms + joins + fractions + groups with
         # one global LRU order.
-        self.batcher = BatchEvaluator(db, ctx=self.context) if batch else None
+        self.batcher = BatchEvaluator(self.context) if batch else None
         # Persistent worker pool (lazily started); None on the serial path so
         # workers=1 can never spawn processes.
         self.workers = workers
@@ -215,18 +207,6 @@ class MetaqueryEngine:
         #: vector; consulted by PreparedMetaquery.stream()/collect().
         self.request_cache = RequestCache(request_cache) if request_cache else None
 
-    @property
-    def columnar(self) -> bool:
-        """The columnar switch as resolved *right now*.
-
-        Pinned when the engine was built with an explicit
-        ``columnar=True/False``; with the default ``columnar=None`` it
-        follows the ambient switch
-        (:func:`repro.relational.columnar.use_columnar`) at each access,
-        so per-call ablation contexts apply to deferred engines too.
-        """
-        return columnar_switch.resolve(self._columnar_option)
-
     def invalidate_cache(self) -> None:
         """Drop every memoized result — the explicit full reset.
 
@@ -235,12 +215,11 @@ class MetaqueryEngine:
         mutated relations, the sharder ships the changed relations to its
         workers with the next dispatch, and the request cache compares
         generation vectors on lookup.  This method remains the manual
-        nuclear option: it clears the context and batcher stores, drops the
-        request cache and restarts the worker pool.
+        nuclear option: it clears the context's store (the batcher's shape
+        groups included), drops the request cache and restarts the worker
+        pool.
         """
         self.context.clear()
-        if self.batcher is not None:
-            self.batcher.clear()
         if self.sharder is not None:
             self.sharder.reset()
         if self.request_cache is not None:

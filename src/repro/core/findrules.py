@@ -19,16 +19,15 @@ prescribes (Section 4):
    agrees with the body instantiation test cover (``|h ⋉ b| / |h|``) and
    confidence (``|b ⋉ h'| / |b|``).
 
-Four ablation switches quantify the design choices (the Figure 4
-benchmark runs the first two): ``prune_empty`` disables step 2's pruning,
-``use_full_reducer`` replaces step 3's semijoin program by recomputing the
-body join from scratch (support is then read off that recomputed join —
-the half-reduced node relations would overestimate it), ``batch``
-controls whether step 4 answers the head instantiations from a shared
+Step 2 prunes exactly when at least one threshold is set (every index is
+0 on an empty body join, so pruning without a threshold would drop
+answers).  Two acceleration objects change how fast the answers arrive,
+never which: ``batch`` controls whether step 4 answers the head
+instantiations from a shared
 :class:`~repro.datalog.batching.BatchEvaluator` shape group or by per-head
-semijoins, and ``workers`` distributes whole first-level ``findBodies``
-branches across a :class:`~repro.datalog.sharding.ShardedEvaluator`
-worker pool (byte-identical answers, see :func:`_sharded_find_rules`).
+semijoins, and an open ``sharder`` (the pool ``MetaqueryEngine(workers=N)``
+owns) distributes whole first-level ``findBodies`` branches across its
+workers (byte-identical answers, see :func:`_sharded_iter_find_rules`).
 """
 
 from __future__ import annotations
@@ -38,13 +37,13 @@ from typing import Iterator, Sequence
 
 from repro.core.acyclicity import body_scheme_labels, body_variable_sets
 from repro.core.answers import AnswerSet, MetaqueryAnswer, Thresholds
-from repro.core.indices import support_from_join
 from repro.core.instantiation import (
     Instantiation,
     InstantiationType,
     enumerate_scheme_instantiations,
 )
 from repro.core.metaquery import LiteralScheme, MetaQuery
+from repro.core.naive import _make_batcher, _make_context
 from repro.datalog.atoms import Atom
 from repro.datalog.batching import BatchEvaluator, body_shape
 from repro.datalog.context import EvaluationContext
@@ -53,7 +52,7 @@ from repro.datalog.sharding import (
     ReorderBuffer,
     ShardedEvaluator,
     partition,
-    resolve_sharder,
+    usable_sharder,
     worker_state,
 )
 from repro.exceptions import MetaqueryError
@@ -96,8 +95,6 @@ class _FindRulesRun:
         mq: MetaQuery,
         thresholds: Thresholds,
         itype: InstantiationType,
-        prune_empty: bool,
-        use_full_reducer: bool,
         decomposition: HypertreeDecomposition | None,
         ctx: EvaluationContext | None = None,
         batcher: BatchEvaluator | None = None,
@@ -106,18 +103,16 @@ class _FindRulesRun:
         self.mq = mq
         self.thresholds = thresholds
         self.itype = itype
-        self.use_full_reducer = use_full_reducer
         self.ctx = ctx
-        self.batcher = batcher if (batcher is not None and batcher.applies_to(db)) else None
+        self.batcher = batcher
 
-        no_filtering = (
+        # Pruning empty intermediate relations is sound only when at least one
+        # strict threshold is enabled (all indices are 0 on an empty body join).
+        self.prune = not (
             thresholds.support is None
             and thresholds.confidence is None
             and thresholds.cover is None
         )
-        # Pruning empty intermediate relations is sound only when at least one
-        # strict threshold is enabled (all indices are 0 on an empty body join).
-        self.prune_empty = prune_empty and not no_filtering
 
         self.decomposition = decomposition or body_decomposition(mq)
         # Bottom-up visit order of the decomposition nodes; the paper's ν.
@@ -199,7 +194,7 @@ class _FindRulesRun:
         for child in node.children:
             child_pos = self.position[id(child)]
             relation = relation.semijoin(relations[child_pos])
-        if self.prune_empty and relation.is_empty():
+        if self.prune and relation.is_empty():
             return
         relations[index] = relation
         yield from self._find_bodies(index + 1, combined, relations)
@@ -227,23 +222,13 @@ class _FindRulesRun:
     def _reduce_and_find_heads(
         self, sigma_b: Instantiation, relations: dict[int, Relation]
     ) -> Iterator[MetaqueryAnswer]:
-        """Second half of the full reducer followed by ``findHeads``.
-
-        In the ``use_full_reducer=False`` ablation arm the top-down pass is
-        skipped entirely and ``findHeads`` works from the recomputed body
-        join; the half-reduced node relations must *not* be used for support
-        (they overestimate it — see ``_find_heads``).
-        """
+        """Second half of the full reducer followed by ``findHeads``."""
         n = len(self.order)
         reduced: dict[int, Relation] = {n - 1: relations[n - 1]}
         for j in range(n - 2, -1, -1):
             parent = self.parent[id(self.order[j])]
             assert parent is not None  # only the root (last position) has no parent
-            parent_pos = self.position[id(parent)]
-            if self.use_full_reducer:
-                reduced[j] = relations[j].semijoin(reduced[parent_pos])
-            else:
-                reduced[j] = relations[j]
+            reduced[j] = relations[j].semijoin(reduced[self.position[id(parent)]])
         yield from self._find_heads(sigma_b, reduced)
 
     # ------------------------------------------------------------------
@@ -299,35 +284,15 @@ class _FindRulesRun:
         # indexes instead of per-head semijoins.  ``body`` is only
         # materialized on the unbatched path (the group replaces it).
         group = body = None
-        if self.use_full_reducer:
-            support_value = self._support_of_body(sigma_b, reduced)
-            if self.thresholds.support is not None and not support_value > self.thresholds.support:
-                return
-            if self.batcher is not None:
-                group = self.batcher.body_group(
-                    body_atoms, precomputed=lambda: self._body_join(body_atoms, reduced)
-                )
-            else:
-                body = self._body_join(body_atoms, reduced)
+        support_value = self._support_of_body(sigma_b, reduced)
+        if self.thresholds.support is not None and not support_value > self.thresholds.support:
+            return
+        if self.batcher is not None:
+            group = self.batcher.body_group(
+                body_atoms, precomputed=lambda: self._body_join(body_atoms, reduced)
+            )
         else:
-            # Ablation: recompute the body join from the raw atom relations.
-            # Support must come from this recomputed join too — the node
-            # relations are only *half*-reduced here (no top-down semijoin
-            # pass), so reading support off them can overestimate it and
-            # admit instantiations the reference engine rejects.
-            def recompute() -> Relation:
-                return natural_join_all(
-                    [atom_relation(a, self.db, self.ctx) for a in body_atoms]
-                )
-
-            if self.batcher is not None:
-                group = self.batcher.body_group(body_atoms, precomputed=recompute)
-                support_value = group.support
-            else:
-                body = recompute()
-                support_value = support_from_join(body_atoms, body, self.db, self.ctx)
-            if self.thresholds.support is not None and not support_value > self.thresholds.support:
-                return
+            body = self._body_join(body_atoms, reduced)
 
         for sigma_h in enumerate_scheme_instantiations([self.mq.head], self.db, self.itype, base=sigma_b):
             sigma = sigma_b.compose(sigma_h)
@@ -364,9 +329,7 @@ class _FindRulesRun:
 # ----------------------------------------------------------------------
 #: One sharded FindRules payload: the run configuration plus this shard's
 #: ``(position, first_level_instantiation)`` jobs.
-_BranchPayload = tuple[
-    MetaQuery, Thresholds, InstantiationType, bool, bool, list[tuple[int, Instantiation]]
-]
+_BranchPayload = tuple[MetaQuery, Thresholds, InstantiationType, list[tuple[int, Instantiation]]]
 
 
 def _shard_branches_task(payload: _BranchPayload) -> list[tuple[int, list[MetaqueryAnswer]]]:
@@ -378,11 +341,9 @@ def _shard_branches_task(payload: _BranchPayload) -> list[tuple[int, list[Metaqu
     instantiation.  Answers come back tagged with the branch position so
     the parent can restore the exact serial emission order.
     """
-    mq, thresholds, itype, prune_empty, use_full_reducer, jobs = payload
+    mq, thresholds, itype, jobs = payload
     db, ctx, batcher = worker_state()
-    run = _FindRulesRun(
-        db, mq, thresholds, itype, prune_empty, use_full_reducer, None, ctx, batcher
-    )
+    run = _FindRulesRun(db, mq, thresholds, itype, None, ctx, batcher)
     out: list[tuple[int, list[MetaqueryAnswer]]] = []
     for position, sigma_i in jobs:
         out.append((position, list(run._expand(0, Instantiation({}), sigma_i, {}))))
@@ -411,10 +372,7 @@ def _sharded_iter_find_rules(
         body_shape([sigma_i.image(s) for s in schemes])[0] for sigma_i in first_level
     ]
     buckets = partition(first_level, keys, sharder.workers)
-    payloads = [
-        (run.mq, run.thresholds, run.itype, run.prune_empty, run.use_full_reducer, bucket)
-        for bucket in buckets
-    ]
+    payloads = [(run.mq, run.thresholds, run.itype, bucket) for bucket in buckets]
     buffer = ReorderBuffer()
     for chunk in sharder.imap_unordered(
         _shard_branches_task, payloads, item_count=len(first_level)
@@ -431,14 +389,11 @@ def iter_find_rules(
     mq: MetaQuery,
     thresholds: Thresholds | None = None,
     itype: InstantiationType | int = InstantiationType.TYPE_0,
-    prune_empty: bool = True,
-    use_full_reducer: bool = True,
     decomposition: HypertreeDecomposition | None = None,
     cache: bool = True,
     ctx: EvaluationContext | None = None,
     batch: bool = True,
     batcher: BatchEvaluator | None = None,
-    workers: int = 1,
     sharder: ShardedEvaluator | None = None,
 ) -> Iterator[MetaqueryAnswer]:
     """Stream FindRules answers incrementally (the generator core).
@@ -448,42 +403,20 @@ def iter_find_rules(
     Validation (purity for type-0/1) happens eagerly at call time, before
     the first answer is requested; the returned iterator then yields each
     answer as ``findHeads`` confirms it (serially per branch, or as shard
-    chunks complete and pass through the reorder buffer with
-    ``workers > 1``).  Abandoning the iterator early closes an ephemeral
-    pool via the generator's ``finally`` clause.
+    chunks complete and pass through the reorder buffer with an open
+    ``sharder``).
     """
     thresholds = thresholds or Thresholds.none()
     itype = InstantiationType.coerce(itype)
     if itype in (InstantiationType.TYPE_0, InstantiationType.TYPE_1) and not mq.is_pure():
         raise MetaqueryError(f"type-{int(itype)} instantiations require a pure metaquery")
-    if ctx is None and cache:
-        ctx = EvaluationContext(db)
-    if batcher is None and batch:
-        batcher = BatchEvaluator(db, ctx)
-    run = _FindRulesRun(
-        db, mq, thresholds, itype, prune_empty, use_full_reducer, decomposition, ctx, batcher
-    )
-    if decomposition is None:
-        resolved, owned = resolve_sharder(db, workers, sharder, cache=cache, batch=batch)
-        if resolved is not None:
-            return _close_after(_sharded_iter_find_rules(run, resolved), resolved, owned)
+    ctx = _make_context(db, cache, ctx)
+    batcher = _make_batcher(db, batch, batcher, ctx)
+    run = _FindRulesRun(db, mq, thresholds, itype, decomposition, ctx, batcher)
+    sharder = usable_sharder(db, sharder)
+    if decomposition is None and sharder is not None:
+        return _sharded_iter_find_rules(run, sharder)
     return run.iter_run()
-
-
-def _close_after(
-    answers: Iterator[MetaqueryAnswer], sharder: ShardedEvaluator, owned: bool
-) -> Iterator[MetaqueryAnswer]:
-    """Yield from ``answers``, closing an owned ephemeral sharder at the end.
-
-    The ``finally`` clause also runs when the consumer abandons the stream
-    (generator close / garbage collection), so early-stopped one-shot
-    ``workers > 1`` calls never leak a pool.
-    """
-    try:
-        yield from answers
-    finally:
-        if owned:
-            sharder.close()
 
 
 def find_rules(
@@ -491,14 +424,11 @@ def find_rules(
     mq: MetaQuery,
     thresholds: Thresholds | None = None,
     itype: InstantiationType | int = InstantiationType.TYPE_0,
-    prune_empty: bool = True,
-    use_full_reducer: bool = True,
     decomposition: HypertreeDecomposition | None = None,
     cache: bool = True,
     ctx: EvaluationContext | None = None,
     batch: bool = True,
     batcher: BatchEvaluator | None = None,
-    workers: int = 1,
     sharder: ShardedEvaluator | None = None,
 ) -> AnswerSet:
     """Run the FindRules algorithm (Figure 4) and materialize every answer.
@@ -515,13 +445,8 @@ def find_rules(
         Support / confidence / cover thresholds; ``None`` disables all
         filtering (then the result coincides with the naive engine's).
     itype:
-        The instantiation type (0, 1 or 2).
-    prune_empty:
-        Prune branches whose intermediate node relation is empty (sound as
-        soon as at least one threshold is enabled).
-    use_full_reducer:
-        Use the semijoin-program machinery of Section 4; when False the body
-        join is recomputed from the raw relations (ablation baseline).
+        The instantiation type (0, 1 or 2).  Branches whose intermediate
+        node relation is empty are pruned whenever a threshold is enabled.
     decomposition:
         A pre-computed body decomposition to reuse across calls.
     cache, ctx:
@@ -539,21 +464,21 @@ def find_rules(
         semijoin pass.  An explicit ``batcher`` (e.g. the engine's
         persistent one) overrides ``batch``; pass ``batch=False`` for the
         per-head ablation baseline.
-    workers, sharder:
-        Sharded execution (default off): with ``workers > 1`` (or an
-        explicit open :class:`~repro.datalog.sharding.ShardedEvaluator`)
-        the first-level ``findBodies`` branches are distributed across a
-        worker pool, sharded by instantiated-node shape, and the merged
-        answer set is byte-identical to the serial run's.  Runs with an
-        explicit ``decomposition`` stay serial (workers rebuild their own
+    sharder:
+        Sharded execution (default off): with an open
+        :class:`~repro.datalog.sharding.ShardedEvaluator` bound to ``db``
+        (the one ``MetaqueryEngine(workers=N)`` owns) the first-level
+        ``findBodies`` branches are distributed across its workers, sharded
+        by instantiated-node shape, and the merged answer set is
+        byte-identical to the serial run's.  Runs with an explicit
+        ``decomposition`` stay serial (workers rebuild their own
         decomposition from the metaquery, which must match the parent's).
     """
     return AnswerSet(
         iter_find_rules(
             db, mq, thresholds, itype,
-            prune_empty=prune_empty, use_full_reducer=use_full_reducer,
             decomposition=decomposition, cache=cache, ctx=ctx,
-            batch=batch, batcher=batcher, workers=workers, sharder=sharder,
+            batch=batch, batcher=batcher, sharder=sharder,
         ),
         algorithm="findrules",
     )

@@ -25,19 +25,16 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, Callable, Sequence
 
 from repro.datalog.atoms import Atom, variables_of
-from repro.datalog.evaluation import atom_relation, is_satisfiable, join_atoms
+from repro.datalog.evaluation import is_satisfiable, join_atoms
 from repro.datalog.rules import ConjunctiveQuery, HornRule
 from repro.exceptions import IndexError_
-from repro.relational import indexes
 from repro.relational.database import Database
-from repro.relational.relation import Relation
 
 __all__ = [
     "fraction",
     "confidence",
     "cover",
     "support",
-    "support_from_join",
     "all_indices",
     "PlausibilityIndex",
     "get_index",
@@ -108,41 +105,6 @@ def support(rule: HornRule, db: Database, ctx: "EvaluationContext | None" = None
     best = Fraction(0)
     for atom in rule.body_atoms:
         value = fraction([atom], rule.body_atoms, db, ctx)
-        if value > best:
-            best = value
-    return best
-
-
-def support_from_join(
-    body_atoms: Sequence[Atom],
-    body_join: Relation,
-    db: Database,
-    ctx: "EvaluationContext | None" = None,
-) -> Fraction:
-    """``sup`` of an instantiated body, read off an already-materialized ``J(b)``.
-
-    Since every body atom ``a`` satisfies ``J({a}) ⋈ J(b) = J(b)``, the
-    fraction ``{a} ↑ b`` is ``|π_var(a)(J(b))| / |J({a})|`` — no further
-    joins are needed once the body join is in hand.  Agrees exactly with
-    :func:`support` (the projection of a non-empty relation onto zero
-    columns has cardinality 1, matching the ground-atom convention of
-    :func:`fraction`).  The projection cardinality is the key count of the
-    join's cached hash index on the atom's variable columns, so repeated
-    calls over one join (or its renamed views) share the index.
-    :meth:`repro.datalog.batching.BatchEvaluator._support` is the
-    canonical-column twin of this loop.
-    """
-    best = Fraction(0)
-    for atom in body_atoms:
-        base = atom_relation(atom, db, ctx)
-        denominator = len(base)
-        if denominator == 0:
-            continue
-        names = [v.name for v in atom.variables]
-        numerator = len(indexes.index_for(body_join, names))
-        if numerator == 0:
-            continue
-        value = Fraction(numerator, denominator)
         if value > best:
             best = value
     return best

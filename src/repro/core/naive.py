@@ -9,7 +9,8 @@ size but serves two purposes:
 * it is the reference implementation against which FindRules is tested, and
 * it is the baseline of the Figure 4 benchmarks.
 
-All entry points accept three independent acceleration switches:
+All entry points accept two acceleration switches and the evaluator
+objects that implement them:
 
 * ``cache=`` (default on) — a shared
   :class:`~repro.datalog.context.EvaluationContext` memoizes atom
@@ -22,16 +23,16 @@ All entry points accept three independent acceleration switches:
   join once and answers every member (all head instantiations of one
   body, support included) from the group's shared key indexes instead of
   issuing per-pair join queries;
-* ``workers=`` (default 1, i.e. off) — a
-  :class:`~repro.datalog.sharding.ShardedEvaluator` distributes whole
-  shape groups across a ``multiprocessing`` worker pool; every worker
-  owns a private context/batcher pair and the merged answers are
-  byte-identical to the serial path's (same enumeration, same order,
-  same exact fractions).  ``workers=1`` never spawns a pool.
+* ``sharder=`` — an open :class:`~repro.datalog.sharding.ShardedEvaluator`
+  (the one ``MetaqueryEngine(workers=N)`` owns) distributes whole shape
+  groups across its worker pool; every worker owns a private
+  context/batcher pair and the merged answers are byte-identical to the
+  serial path's (same enumeration, same order, same exact fractions).
+  These functions never build a pool: without a usable sharder they run
+  serially.
 
-Pass ``cache=False``/``batch=False`` (or explicit ``ctx=``/``batcher=``/
-``sharder=`` objects, which win over the switches) for the ablation
-baselines.
+Explicit ``ctx=``/``batcher=`` objects bound to the database win over the
+``cache``/``batch`` switches.
 """
 
 from __future__ import annotations
@@ -58,7 +59,7 @@ from repro.datalog.sharding import (
     ReorderBuffer,
     ShardedEvaluator,
     partition,
-    resolve_sharder,
+    usable_sharder,
     worker_state,
 )
 from repro.relational.database import Database
@@ -91,15 +92,18 @@ def _make_batcher(
     batcher: BatchEvaluator | None,
     ctx: EvaluationContext | None,
 ) -> BatchEvaluator | None:
-    """Resolve the batching switch: an explicit (valid) evaluator wins."""
+    """Resolve the batching switch: an explicit evaluator bound to ``db`` wins.
+
+    A new batcher sits on ``ctx``; without a context for ``db`` it sits on
+    a non-memoizing one, as the engine's batcher does under ``cache=False``.
+    """
     if batcher is not None and batcher.applies_to(db):
         return batcher
-    return BatchEvaluator(db, ctx) if batch else None
-
-
-#: Resolve the sharding switch (see :func:`repro.datalog.sharding.resolve_sharder`);
-#: named like the sibling :func:`_make_context` / :func:`_make_batcher` resolvers.
-_make_sharder = resolve_sharder
+    if not batch:
+        return None
+    if ctx is None or not ctx.applies_to(db):
+        ctx = EvaluationContext(db, caching=False)
+    return BatchEvaluator(ctx)
 
 
 def _rule_indices(
@@ -115,6 +119,11 @@ def _rule_indices(
         return group.support, confidence, cover
     values = all_indices(rule, db, ctx)
     return values["sup"], values["cnf"], values["cvr"]
+
+
+def _is_standard(index_obj: PlausibilityIndex) -> bool:
+    """True for sup, cnf and cvr: the indices batched and sharded paths answer."""
+    return index_obj is SUPPORT or index_obj is CONFIDENCE or index_obj is COVER
 
 
 def _enumerate_evaluable(
@@ -166,8 +175,7 @@ def _index_exceeds(
     :func:`~repro.core.indices.index_is_positive`.  Custom indices always
     go through their own ``compute`` callable.
     """
-    standard = index_obj is SUPPORT or index_obj is CONFIDENCE or index_obj is COVER
-    if batcher is not None and standard:
+    if batcher is not None and _is_standard(index_obj):
         group = batcher.body_group(rule.body_atoms)
         if index_obj is SUPPORT:
             return group.size > 0 if k == 0 else group.support > k
@@ -278,26 +286,21 @@ def iter_answers(
     ctx: EvaluationContext | None = None,
     batch: bool = True,
     batcher: BatchEvaluator | None = None,
-    workers: int = 1,
     sharder: ShardedEvaluator | None = None,
 ) -> Iterator[MetaqueryAnswer]:
     """Yield an answer (with all three indices) for every evaluable instantiation.
 
-    With ``workers > 1`` (or an explicit ``sharder``) the instantiations are
-    evaluated by the worker pool and yielded in the exact serial order: the
-    sharded arm enumerates up front (padding determinism), dispatches the
-    shards and streams results through a position-keyed reorder buffer, so
-    answers are emitted as shards complete and are byte-identical to the
-    serial path's.  This generator is the core the streaming API
-    (``PreparedMetaquery.stream``) builds on.
+    With an open ``sharder`` the instantiations are evaluated by its worker
+    pool and yielded in the exact serial order: the sharded arm enumerates
+    up front (padding determinism), dispatches the shards and streams
+    results through a position-keyed reorder buffer, so answers are emitted
+    as shards complete and are byte-identical to the serial path's.  This
+    generator is the core the streaming API (``PreparedMetaquery.stream``)
+    builds on.
     """
-    resolved, owned = _make_sharder(db, workers, sharder, cache=cache, batch=batch)
-    if resolved is not None:
-        try:
-            yield from _sharded_answers(db, mq, itype, resolved)
-        finally:
-            if owned:
-                resolved.close()
+    sharder = usable_sharder(db, sharder)
+    if sharder is not None:
+        yield from _sharded_answers(db, mq, itype, sharder)
         return
     ctx = _make_context(db, cache, ctx)
     batcher = _make_batcher(db, batch, batcher, ctx)
@@ -321,7 +324,6 @@ def naive_find_rules(
     ctx: EvaluationContext | None = None,
     batch: bool = True,
     batcher: BatchEvaluator | None = None,
-    workers: int = 1,
     sharder: ShardedEvaluator | None = None,
 ) -> AnswerSet:
     """All instantiations whose indices pass the thresholds.
@@ -332,8 +334,7 @@ def naive_find_rules(
     thresholds = thresholds or Thresholds.none()
     answers = AnswerSet(algorithm="naive")
     for answer in iter_answers(
-        db, mq, itype, cache=cache, ctx=ctx, batch=batch, batcher=batcher,
-        workers=workers, sharder=sharder,
+        db, mq, itype, cache=cache, ctx=ctx, batch=batch, batcher=batcher, sharder=sharder,
     ):
         if thresholds.accepts(answer.support, answer.confidence, answer.cover):
             answers.append(answer)
@@ -372,7 +373,6 @@ def naive_decide(
     ctx: EvaluationContext | None = None,
     batch: bool = True,
     batcher: BatchEvaluator | None = None,
-    workers: int = 1,
     sharder: ShardedEvaluator | None = None,
 ) -> bool:
     """Decide the metaquerying problem ``⟨DB, MQ, I, k, T⟩`` (Section 3.2).
@@ -381,21 +381,16 @@ def naive_decide(
     the certifying-set shortcut of Proposition 3.20 is used, which only needs
     Boolean conjunctive-query satisfiability rather than counting.
 
-    With ``workers > 1`` the instantiation space is sharded by body shape;
-    every shard short-circuits at its first hit and the answer is the same
-    as the serial path's.  Custom (non sup/cnf/cvr) indices always run
+    With an open ``sharder`` the instantiation space is sharded by body
+    shape; every shard short-circuits at its first hit and the answer is the
+    same as the serial path's.  Custom (non sup/cnf/cvr) indices always run
     serially — their ``compute`` callables may not survive pickling.
     """
     index_obj = get_index(index)
     k = validate_threshold(k)
-    if index_obj is SUPPORT or index_obj is CONFIDENCE or index_obj is COVER:
-        resolved, owned = _make_sharder(db, workers, sharder, cache=cache, batch=batch)
-        if resolved is not None:
-            try:
-                return _sharded_first_hit(db, mq, index_obj, k, itype, resolved) is not None
-            finally:
-                if owned:
-                    resolved.close()
+    sharder = usable_sharder(db, sharder)
+    if sharder is not None and _is_standard(index_obj):
+        return _sharded_first_hit(db, mq, index_obj, k, itype, sharder) is not None
     ctx = _make_context(db, cache, ctx)
     batcher = _make_batcher(db, batch, batcher, ctx)
     return _first_hit(db, mq, index_obj, k, itype, ctx, batcher) is not None
@@ -411,7 +406,6 @@ def naive_witness(
     ctx: EvaluationContext | None = None,
     batch: bool = True,
     batcher: BatchEvaluator | None = None,
-    workers: int = 1,
     sharder: ShardedEvaluator | None = None,
 ) -> MetaqueryAnswer | None:
     """A witnessing answer for the decision problem, or None when it is a NO instance.
@@ -420,26 +414,18 @@ def naive_witness(
     validation, the same certifying-set shortcut of Proposition 3.20 at
     ``k = 0``, the same per-rule ``index > k`` test (which also works
     for custom indices outside {sup, cnf, cvr}) and the same sharded
-    first-hit search with ``workers > 1`` — so the two can never disagree
-    on the same instance (``naive_witness`` is not None iff
+    first-hit search with an open ``sharder`` — so the two can never
+    disagree on the same instance (``naive_witness`` is not None iff
     ``naive_decide`` is True).
     """
     index_obj = get_index(index)
     k = validate_threshold(k)
     ctx = _make_context(db, cache, ctx)
     batcher = _make_batcher(db, batch, batcher, ctx)
-    found = None
-    searched_sharded = False
-    if index_obj is SUPPORT or index_obj is CONFIDENCE or index_obj is COVER:
-        resolved, owned = _make_sharder(db, workers, sharder, cache=cache, batch=batch)
-        if resolved is not None:
-            try:
-                found = _sharded_first_hit(db, mq, index_obj, k, itype, resolved)
-                searched_sharded = True
-            finally:
-                if owned:
-                    resolved.close()
-    if not searched_sharded:
+    sharder = usable_sharder(db, sharder)
+    if sharder is not None and _is_standard(index_obj):
+        found = _sharded_first_hit(db, mq, index_obj, k, itype, sharder)
+    else:
         found = _first_hit(db, mq, index_obj, k, itype, ctx, batcher)
     if found is None:
         return None

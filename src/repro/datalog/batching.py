@@ -25,15 +25,16 @@ then answered from the shared result by key-set intersection:
   (also cached) hash index with it — two dictionary intersections instead
   of two natural joins per head.
 
-A :class:`BatchEvaluator` is bound to one database and optionally shares an
-:class:`EvaluationContext` (for atom relations and the canonical joins) —
-and, when it does, also the context's
-:class:`~repro.datalog.lifecycle.LifecycleCache` store, so a
-``cache_limit`` caps the combined atoms + joins + fractions + groups
-footprint with one global LRU order.  Like the context, it detects
-in-place database mutations through the generation counters and drops only
-the groups touching mutated relations (:meth:`BatchEvaluator.refresh`);
-mutating the database *during* one evaluation remains unsupported.
+A :class:`BatchEvaluator` sits on one :class:`EvaluationContext` and shares
+its whole lifecycle: the database, the atom relations and canonical joins
+it memoizes, the :class:`~repro.datalog.lifecycle.LifecycleCache` store (so
+a ``cache_limit`` caps atoms + joins + fractions + groups with one global
+LRU order, and :meth:`EvaluationContext.clear` drops the groups too) and
+the generation watcher, so an in-place database mutation drops only the
+groups touching mutated relations (:meth:`BatchEvaluator.refresh`).  A
+context built with ``caching=False`` memoizes nothing itself but still
+holds the groups.  Mutating the database *during* one evaluation remains
+unsupported.
 """
 
 from __future__ import annotations
@@ -50,7 +51,6 @@ from repro.datalog.context import (
     _shape_key,
 )
 from repro.datalog.evaluation import atom_relation, join_atoms
-from repro.datalog.lifecycle import CacheLimit, GenerationWatcher, LifecycleCache
 from repro.datalog.terms import Variable
 from repro.relational.database import Database
 from repro.relational.relation import Relation
@@ -186,35 +186,21 @@ class BatchEvaluator:
 
     Parameters
     ----------
-    db:
-        The database the groups are materialized over.
     ctx:
-        Optional :class:`EvaluationContext` used for atom relations and the
-        canonical joins (contexts bound to a different database are silently
-        ignored, mirroring the evaluation functions).  A usable context also
-        contributes its :class:`~repro.datalog.lifecycle.LifecycleCache`, so
-        groups and memoized relations share one LRU budget.
-    cache_limit:
-        Bounds a *privately built* store (no usable ``ctx``); coerced
-        through :meth:`~repro.datalog.lifecycle.CacheLimit.coerce`.
+        The :class:`EvaluationContext` the groups live in.  The evaluator
+        reads its database, atom relations and canonical joins through it
+        and keeps its groups in the context's
+        :class:`~repro.datalog.lifecycle.LifecycleCache`, so groups and
+        memoized relations share one LRU budget, one generation watcher
+        and one :meth:`~EvaluationContext.clear`.
     """
 
-    def __init__(
-        self,
-        db: Database,
-        ctx: EvaluationContext | None = None,
-        cache_limit: "CacheLimit | int | tuple | None" = None,
-    ) -> None:
-        self.db = db
-        self.ctx = ctx if (ctx is not None and ctx.applies_to(db)) else None
+    def __init__(self, ctx: EvaluationContext) -> None:
+        self.ctx = ctx
+        self.db = ctx.db
+        self.store = ctx.store
         self.stats = BatchStats()
-        self.store = (
-            self.ctx.store
-            if self.ctx is not None
-            else LifecycleCache(CacheLimit.coerce(cache_limit))
-        )
         self._groups = self.store.section("group")
-        self._watcher = GenerationWatcher(db)
 
     def applies_to(self, db: Database) -> bool:
         """True when this evaluator's groups are valid for the given database."""
@@ -226,27 +212,10 @@ class BatchEvaluator:
         ``MetaqueryEngine.stats()`` and the eviction policy)."""
         return len(self._groups)
 
-    def clear(self) -> None:
-        """Drop every materialized group, releasing the shared hash indexes.
-
-        No longer *required* after an in-place mutation (:meth:`refresh`
-        auto-invalidates incrementally); kept as the explicit full reset.
-        """
-        self._groups.clear()
-        self._watcher.resync()
-
     def refresh(self) -> frozenset[str]:
-        """Drop only the groups reading mutated relations (see
-        :meth:`EvaluationContext.refresh`, the identical protocol)."""
-        # peek → invalidate → resync, like the context: the snapshot must
-        # not look fresh to a concurrent thread before stale entries are
-        # gone.  A shared store may already have been swept by the
-        # context's own refresh; invalidation is idempotent either way.
-        changed = self._watcher.peek()
-        if changed:
-            self.store.invalidate_relations(changed)
-            self._watcher.resync()
-        return changed
+        """Drop only the groups reading mutated relations (the context's
+        :meth:`EvaluationContext.refresh`, which sweeps the shared store)."""
+        return self.ctx.refresh()
 
     # ------------------------------------------------------------------
     def body_group(

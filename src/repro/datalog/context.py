@@ -25,8 +25,8 @@ name every predicate an entry touches) and keeps the rest warm — see
 single evaluation remains unsupported, as before.  Entries live in a
 :class:`~repro.datalog.lifecycle.LifecycleCache`, optionally bounded by a
 :class:`~repro.datalog.lifecycle.CacheLimit` (LRU eviction across the
-atom/join/fraction sections and any sharing
-:class:`~repro.datalog.batching.BatchEvaluator`).
+atom/join/fraction sections and the shape groups of the
+:class:`~repro.datalog.batching.BatchEvaluator` sitting on the context).
 """
 
 from __future__ import annotations
@@ -124,15 +124,12 @@ class EvaluationContext:
         bypass it.
     caching:
         When False, the context never stores or serves memoized results —
-        the full uncached ablation baseline.
+        the full uncached ablation baseline.  A batcher sitting on it still
+        keeps its shape groups in :attr:`store`.
     cache_limit:
         Optional :class:`~repro.datalog.lifecycle.CacheLimit` (or the int /
-        pair spellings it coerces) bounding the store; ignored when an
-        explicit ``store`` is shared.
-    store:
-        An existing :class:`~repro.datalog.lifecycle.LifecycleCache` to
-        share (the engine shares one store between its context and batcher
-        so the limit caps their *combined* footprint).
+        pair spellings it coerces) bounding the store, and with it the
+        groups of a batcher sitting on the context.
     """
 
     def __init__(
@@ -140,27 +137,25 @@ class EvaluationContext:
         db: Database,
         caching: bool = True,
         cache_limit: "CacheLimit | int | tuple | None" = None,
-        store: LifecycleCache | None = None,
     ) -> None:
         self.db = db
         self.caching = caching
         self.stats = CacheStats()
-        self.store = store if store is not None else LifecycleCache(CacheLimit.coerce(cache_limit))
+        self.store = LifecycleCache(CacheLimit.coerce(cache_limit))
         self._atoms = self.store.section("atom")
         self._joins = self.store.section("join")
         self._fractions = self.store.section("fraction")
         self._watcher = GenerationWatcher(db)
 
     def clear(self) -> None:
-        """Drop every cached result and release the cached hash indexes.
+        """Drop every cached result, shape groups included, and release the
+        cached hash indexes.
 
         No longer *required* after an in-place mutation (:meth:`refresh`
         auto-invalidates incrementally) but still the explicit full reset
         used by ``MetaqueryEngine.invalidate_cache``.
         """
-        self._atoms.clear()
-        self._joins.clear()
-        self._fractions.clear()
+        self.store.clear()
         self._watcher.resync()
 
     def applies_to(self, db: Database) -> bool:

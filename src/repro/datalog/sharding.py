@@ -23,7 +23,10 @@ This module distributes whole groups across a pool of worker processes:
   calls, released by :meth:`ShardedEvaluator.close` or a ``with`` block)
   and runs picklable task callables over per-shard payloads, returning
   results in payload order (:meth:`ShardedEvaluator.map`) or in completion
-  order (:meth:`ShardedEvaluator.imap_unordered`, the streaming twin);
+  order (:meth:`ShardedEvaluator.imap_unordered`, the streaming twin).
+  ``MetaqueryEngine(workers=N)`` is the one place that builds and closes
+  one; the evaluation functions only use an evaluator handed to them
+  (:func:`usable_sharder`) and otherwise run serially;
 * :class:`ReorderBuffer` re-serializes completion-order results back into
   the exact serial emission order, which is how the streaming entry points
   (``PreparedMetaquery.stream``) emit answers incrementally while staying
@@ -65,7 +68,7 @@ __all__ = [
     "assign_shards",
     "partition",
     "ReorderBuffer",
-    "resolve_sharder",
+    "usable_sharder",
     "ShardStats",
     "ShardedEvaluator",
 ]
@@ -84,29 +87,27 @@ def _init_worker(
     db: Database,
     caching: bool,
     batch: bool,
-    cache_limit: CacheLimit | None = None,
-    columnar_enabled: bool | None = None,
+    cache_limit: CacheLimit | None,
+    columnar: bool,
 ) -> None:
     """Pool initializer: build this worker's private evaluator pair.
 
     Runs once per worker process.  The database arrives pickled through the
     pool's init arguments (identical under ``fork`` and ``spawn`` start
     methods), so every worker evaluates against its own consistent snapshot.
-    The serial ablation switches are forwarded so e.g. a ``cache=False,
-    workers=4`` run really measures sharding over the uncached evaluator
+    The engine's switches are forwarded so e.g. a ``cache=False,
+    workers=4`` engine really shards over the uncached evaluator
     (``batch=False`` leaves the batcher ``None``); ``cache_limit`` bounds
     each worker's private store exactly as it bounds the parent's, and
-    ``columnar_enabled`` pins the worker's process-wide columnar default so
-    the parent's ablation setting — which travels per-context in the parent
-    and therefore cannot cross the process boundary — applies inside task
-    functions too (``None`` leaves the worker's own environment default).
+    ``columnar`` becomes the worker's process-wide columnar default, since
+    the parent's setting travels per-context in the parent and therefore
+    cannot cross the process boundary.
     """
     global _WORKER_DB, _WORKER_CTX, _WORKER_BATCHER
     _WORKER_DB = db
     _WORKER_CTX = EvaluationContext(db, caching=caching, cache_limit=cache_limit)
-    _WORKER_BATCHER = BatchEvaluator(db, _WORKER_CTX) if batch else None
-    if columnar_enabled is not None:
-        _columnar_module.set_default(columnar_enabled)
+    _WORKER_BATCHER = BatchEvaluator(_WORKER_CTX) if batch else None
+    _columnar_module.set_default(columnar)
 
 
 def worker_state() -> tuple[Database, EvaluationContext, BatchEvaluator | None]:
@@ -276,40 +277,17 @@ class ReorderBuffer:
             self._next += 1
 
 
-def resolve_sharder(
-    db: Database,
-    workers: int,
-    sharder: "ShardedEvaluator | None",
-    cache: bool = True,
-    batch: bool = True,
-    cache_limit: CacheLimit | None = None,
-    columnar_enabled: bool | None = None,
-) -> tuple["ShardedEvaluator | None", bool]:
-    """Resolve an engine's sharding switch: an explicit (valid, open) evaluator wins.
+def usable_sharder(
+    db: Database, sharder: "ShardedEvaluator | None"
+) -> "ShardedEvaluator | None":
+    """``sharder`` when it is open and bound to ``db``, else None (run serially).
 
-    Returns ``(sharder, owned)``; an owned evaluator was built here for a
-    single call — configured with the caller's serial ablation switches so
-    the workers evaluate exactly like the serial path would — and must be
-    closed by the caller when the call finishes.  Evaluators bound to a
-    different database (or already closed) are silently ignored, mirroring
-    how the evaluation functions treat foreign contexts and batchers.
-    ``workers=1`` resolves to ``(None, False)`` — no pool is ever spawned
-    on the serial path.
+    Evaluators bound to a different database, closed or built with
+    ``workers=1`` are ignored, as the evaluation functions ignore foreign
+    contexts and batchers.
     """
-    if sharder is not None and sharder.applies_to(db) and sharder.active:
-        return sharder, False
-    if int(workers) > 1:
-        return (
-            ShardedEvaluator(
-                db, int(workers), cache=cache, batch=batch, cache_limit=cache_limit,
-                # Owned evaluators snapshot the *caller's* current columnar
-                # setting (context override included) so a one-shot
-                # `workers=4` call behaves like its serial counterpart.
-                columnar=_columnar_module.enabled() if columnar_enabled is None else columnar_enabled,
-            ),
-            True,
-        )
-    return None, False
+    usable = sharder is not None and sharder.applies_to(db) and sharder.active
+    return sharder if usable else None
 
 
 @dataclass
@@ -372,15 +350,14 @@ class ShardedEvaluator:
         Number of worker processes.  ``workers=1`` builds a degenerate
         evaluator whose :attr:`active` property is False and which never
         spawns a pool — callers fall back to their serial path.
-    cache, batch:
+    cache, batch, cache_limit:
         Forwarded to each worker's private evaluator pair (``batch=False``
-        builds no worker batcher at all), so the serial ablation switches
-        compose with sharding exactly as they do serially.
+        builds no worker batcher at all), so the engine's switches compose
+        with sharding exactly as they do serially.
     columnar:
-        The columnar-kernel switch shipped to every worker, where it
-        becomes the worker's process-wide default
-        (:func:`repro.relational.columnar.set_default`).  ``None`` resolves
-        to the parent's current setting at construction time.
+        The columnar-kernel switch, fixed here and shipped to every worker,
+        where it becomes the worker's process-wide default
+        (:func:`repro.relational.columnar.set_default`).
     start_method:
         ``multiprocessing`` start method; defaults to ``fork`` when the
         platform offers it and ``spawn`` otherwise.
@@ -400,7 +377,7 @@ class ShardedEvaluator:
         batch: bool = True,
         start_method: str | None = None,
         cache_limit: "CacheLimit | int | tuple | None" = None,
-        columnar: "bool | None" = None,
+        columnar: bool = True,
     ) -> None:
         workers = int(workers)
         if workers < 1:
@@ -410,10 +387,7 @@ class ShardedEvaluator:
         self.cache = cache
         self.batch = batch
         self.cache_limit = CacheLimit.coerce(cache_limit)
-        # Resolved at construction (None = the current default) and shipped
-        # to every worker via the pool initializer, where it becomes the
-        # worker's process-wide default.
-        self.columnar = _columnar_module.resolve(columnar)
+        self.columnar = columnar
         self.start_method = start_method or _default_start_method()
         self.stats = ShardStats()
         #: Cumulative worker-side counter deltas merged back from completed

@@ -39,14 +39,15 @@ Correctness notes the kernels rely on (and the property suite pins):
   right operand's codes into the left's dictionary; codes are append-only
   so translation never disturbs existing columns.
 
-The columnar path is switched by :func:`set_default` (pool workers) and
-the :func:`use_columnar` context manager / ``MetaqueryEngine(columnar=)``
-(per-call ablation), mirroring the ``cache=`` / ``batch=`` / ``workers=``
-switches; with it off, the relation layer runs its per-tuple frozenset
-algebra, the reference the differential suites compare against.  Because
-generators do not own a context (PEP 568 is not implemented), streaming
-evaluation wraps each pull with :func:`iterate_with` instead of holding
-``use_columnar`` open across yields.
+The relation layer reads the switch from the current context
+(:func:`enabled`).  ``MetaqueryEngine(columnar=)`` fixes it when an engine
+is built and pins it around every evaluation with :func:`use_columnar`;
+pool workers receive it once, as their process default
+(:func:`set_default`).  With it off, the relation layer runs its per-tuple
+frozenset algebra, the reference the differential suites compare against.
+Because generators do not own a context (PEP 568 is not implemented),
+streaming evaluation wraps each pull with :func:`iterate_with` instead of
+holding ``use_columnar`` open across yields.
 """
 
 from __future__ import annotations
@@ -73,7 +74,6 @@ __all__ = [
     "iterate_with",
     "join_stores",
     "project_store",
-    "resolve",
     "select_eq_store",
     "semijoin_stores",
     "set_default",
@@ -91,7 +91,7 @@ MIN_KERNEL_ROWS = 32
 
 
 # ----------------------------------------------------------------------
-# the ablation switch: process default + per-context override
+# the switch: process default + per-context override
 # ----------------------------------------------------------------------
 _DEFAULT_ENABLED: bool = True
 _OVERRIDE: ContextVar[bool | None] = ContextVar("repro_columnar_override", default=None)
@@ -101,11 +101,6 @@ def enabled() -> bool:
     """True when the columnar kernels are active in the current context."""
     override = _OVERRIDE.get()
     return _DEFAULT_ENABLED if override is None else override
-
-
-def resolve(flag: bool | None) -> bool:
-    """Coerce an engine-style tri-state flag: ``None`` means "current default"."""
-    return enabled() if flag is None else bool(flag)
 
 
 def set_default(flag: bool) -> None:

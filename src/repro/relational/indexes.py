@@ -16,9 +16,9 @@ from.
 
 from __future__ import annotations
 
-from typing import Any, Iterable, KeysView, Mapping, Sequence
+from typing import Any, Iterable, Sequence
 
-__all__ = ["build_index", "index_for", "key_set"]
+__all__ = ["build_index"]
 
 Row = tuple
 
@@ -37,18 +37,3 @@ def build_index(
             index.setdefault(tuple(row[p] for p in positions), []).append(row)
     return index
 
-
-def index_for(relation: Any, columns: Sequence[str]) -> Mapping[tuple[Any, ...], list[Row]]:
-    """The (cached) hash index of ``relation`` on the given columns.
-
-    The returned mapping must be treated as read-only; it is shared between
-    all operations probing the same column subset.
-    """
-    positions = tuple(relation.schema.position_of(c) for c in columns)
-    index: Mapping[tuple[Any, ...], list[Row]] = relation._hash_index(positions)
-    return index
-
-
-def key_set(relation: Any, columns: Sequence[str]) -> KeysView:
-    """The distinct key tuples of ``relation`` on the given columns."""
-    return index_for(relation, columns).keys()

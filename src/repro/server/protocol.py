@@ -104,8 +104,16 @@ class HttpRequest:
 
 
 async def _read_header_line(reader: asyncio.StreamReader) -> bytes:
-    """One CRLF-terminated line, bounded by :data:`MAX_HEADER_BYTES`."""
-    line = await reader.readline()
+    """One CRLF-terminated line, bounded by :data:`MAX_HEADER_BYTES`.
+
+    A line beyond the stream reader's own buffer limit makes ``readline``
+    raise ``ValueError`` instead of returning it; both overruns are the
+    same client error.
+    """
+    try:
+        line = await reader.readline()
+    except ValueError as exc:
+        raise ProtocolError(f"header line exceeds {MAX_HEADER_BYTES} bytes") from exc
     if len(line) > MAX_HEADER_BYTES:
         raise ProtocolError(f"header line exceeds {MAX_HEADER_BYTES} bytes")
     return line
@@ -152,12 +160,11 @@ async def read_request(
     body = b""
     declared = headers.get("content-length")
     if declared is not None:
-        try:
-            length = int(declared)
-        except ValueError as exc:
-            raise ProtocolError(f"malformed Content-Length: {declared!r}") from exc
-        if length < 0:
+        # ASCII digits only: int() would also take "+0", "0_0" and
+        # non-ASCII digits, none of which is a valid Content-Length.
+        if not (declared.isascii() and declared.isdigit()):
             raise ProtocolError(f"malformed Content-Length: {declared!r}")
+        length = int(declared)
         if length > max_body:
             raise PayloadTooLarge(length, max_body)
         if length:

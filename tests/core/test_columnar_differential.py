@@ -80,31 +80,15 @@ def test_engine_columnar_on_off_identical_chain(workers):
 
 def test_engine_columnar_flag_validation():
     db = scaled_telecom(users=5, carriers=3, technologies=2, noise=0.0, seed=1)
-    with pytest.raises(Exception):
-        MetaqueryEngine(db, columnar="yes")
+    for bad in ("yes", None, 1):
+        with pytest.raises(Exception):
+            MetaqueryEngine(db, columnar=bad)
     assert MetaqueryEngine(db, columnar=True).columnar is True
     assert MetaqueryEngine(db, columnar=False).columnar is False
+    # The flag is fixed when the engine is built: on by default, whatever
+    # use_columnar context the engine is built or called in.
     with columnar.use_columnar(False):
-        assert MetaqueryEngine(db).columnar is False
-    with columnar.use_columnar(True):
         assert MetaqueryEngine(db).columnar is True
-
-
-def test_deferred_engine_honours_ambient_switch_at_call_time():
-    """An engine built with columnar=None resolves the ambient switch per
-    call; an explicit True/False stays pinned (REVIEW regression)."""
-    db = scaled_telecom(users=5, carriers=3, technologies=2, noise=0.0, seed=1)
-    deferred = MetaqueryEngine(db)  # built outside any context
-    with columnar.use_columnar(False):
-        assert deferred.columnar is False
-    with columnar.use_columnar(True):
-        assert deferred.columnar is True
-    pinned = MetaqueryEngine(db, columnar=True)
-    with columnar.use_columnar(False):
-        assert pinned.columnar is True
-    pinned_off = MetaqueryEngine(db, columnar=False)
-    with columnar.use_columnar(True):
-        assert pinned_off.columnar is False
 
 
 def test_decide_and_witness_respect_columnar_switch(telecom_db_factory):

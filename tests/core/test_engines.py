@@ -104,14 +104,6 @@ class TestAgreementNaiveVsFindRules:
         assert len(naive) == 27
         assert answer_keys(naive) == answer_keys(fast)
 
-    def test_ablation_flags_do_not_change_results(self, telecom_db):
-        thresholds = Thresholds(0.2, 0.5, 0.2)
-        reference = answer_keys(find_rules(telecom_db, TRANSITIVITY, thresholds, 0))
-        no_prune = find_rules(telecom_db, TRANSITIVITY, thresholds, 0, prune_empty=False)
-        no_reducer = find_rules(telecom_db, TRANSITIVITY, thresholds, 0, use_full_reducer=False)
-        assert answer_keys(no_prune) == reference
-        assert answer_keys(no_reducer) == reference
-
     def test_reusing_decomposition(self, telecom_db):
         decomposition = body_decomposition(TRANSITIVITY)
         thresholds = Thresholds(0.2, 0.5, 0.2)

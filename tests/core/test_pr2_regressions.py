@@ -1,16 +1,14 @@
 """Regression tests for the PR-2 bugfixes.
 
-Three correctness bugs are pinned here:
+Two of its three correctness bugs are pinned here (the third, support
+drift in a FindRules arm that skipped the full reducer's top-down pass,
+went with that arm):
 
 1. **Type-2 freshness** — FindRules enumerated head (and per-node body)
    instantiations with a padding counter restarting at ``_T2_1``, so a
    "fresh" padding variable could collide with one already used by the
    partial body instantiation; composing the two silently turned it into a
    join variable, violating Definition 2.4 and corrupting cover/confidence.
-2. **Ablation answer drift** — with ``use_full_reducer=False`` the support
-   gate read the *half*-reduced node relations (no top-down semijoin pass),
-   overestimating support and admitting instantiations the reference
-   engine rejects.
 3. **Index ctx detection** — ``PlausibilityIndex`` miscounted callables
    whose ``ctx`` parameter is keyword-only (e.g. after ``functools.partial``
    binding), either dropping cache sharing or raising ``TypeError``.
@@ -28,7 +26,6 @@ from fractions import Fraction
 
 import pytest
 
-from repro.core.answers import Thresholds
 from repro.core.findrules import find_rules
 from repro.core.indices import PlausibilityIndex, support
 from repro.core.instantiation import (
@@ -130,41 +127,6 @@ class TestType2Freshness:
         sigma = Instantiation({pattern: atom})
         composed = sigma.compose(Instantiation({pattern: atom}))
         assert composed.image(pattern) == atom
-
-
-# ----------------------------------------------------------------------
-# bug 2: ablation answer drift
-# ----------------------------------------------------------------------
-class TestHalfReducerAnswerDrift:
-    @pytest.fixture
-    def chain_db(self):
-        """Each relation has one chain tuple plus one dangling tuple; the
-        dangling tuples survive the bottom-up pass in the leaf nodes, so the
-        half-reduced relations overestimate support (1 instead of 1/2)."""
-        return Database(
-            [
-                Relation.from_rows("p", ("a", "b"), [("a", "b"), ("z1", "z2")]),
-                Relation.from_rows("q", ("a", "b"), [("b", "c"), ("y1", "y2")]),
-                Relation.from_rows("s", ("a", "b"), [("c", "d"), ("w1", "w2")]),
-            ],
-            name="drift",
-        )
-
-    MQ = parse_metaquery("R(X,W) <- P(X,Y), Q(Y,Z), S(Z,W)")
-
-    def test_arms_admit_identical_answers(self, chain_db):
-        thresholds = Thresholds(support=0.6)
-        full = find_rules(chain_db, self.MQ, thresholds, 0, use_full_reducer=True)
-        half = find_rules(chain_db, self.MQ, thresholds, 0, use_full_reducer=False)
-        naive = naive_find_rules(chain_db, self.MQ, thresholds, 0)
-        assert canonical_keys(full) == canonical_keys(half) == canonical_keys(naive)
-
-    def test_reported_support_is_exact_in_both_arms(self, chain_db):
-        thresholds = Thresholds(support=0.0)
-        full = find_rules(chain_db, self.MQ, thresholds, 0, use_full_reducer=True)
-        half = find_rules(chain_db, self.MQ, thresholds, 0, use_full_reducer=False)
-        assert canonical_keys(full) == canonical_keys(half)
-        assert all(a.support == Fraction(1, 2) for a in half)
 
 
 # ----------------------------------------------------------------------

@@ -11,6 +11,7 @@ from fractions import Fraction
 import pytest
 
 from repro.core.indices import confidence, cover, support
+from repro.core.naive import _make_batcher
 from repro.datalog.batching import BatchEvaluator, body_shape
 from repro.datalog.context import EvaluationContext
 from repro.datalog.parser import parse_query, parse_rule
@@ -61,20 +62,20 @@ RULES = [
 
 @pytest.mark.parametrize("rule_text", RULES)
 def test_matches_per_rule_indices(db, rule_text):
-    assert_matches_reference(BatchEvaluator(db), db, rule_text)
+    assert_matches_reference(BatchEvaluator(EvaluationContext(db, caching=False)), db, rule_text)
 
 
 @pytest.mark.parametrize("rule_text", RULES)
 def test_matches_per_rule_indices_with_context(db, rule_text):
     ctx = EvaluationContext(db)
-    evaluator = BatchEvaluator(db, ctx)
+    evaluator = BatchEvaluator(ctx)
     assert_matches_reference(evaluator, db, rule_text)
     # second pass is served from the group cache and must agree too
     assert_matches_reference(evaluator, db, rule_text)
 
 
 def test_group_core_is_shared_across_alpha_equivalent_bodies(db):
-    evaluator = BatchEvaluator(db)
+    evaluator = BatchEvaluator(EvaluationContext(db))
     first = evaluator.body_group(parse_query("p(X, Y), q(Y, Z)").atoms)
     second = evaluator.body_group(parse_query("p(A, B), q(B, C)").atoms)
     assert first.core is second.core
@@ -85,7 +86,7 @@ def test_group_core_is_shared_across_alpha_equivalent_bodies(db):
 def test_permuted_members_share_a_group_but_not_the_alignment(db):
     """p(X, Y) and p(Y, X) share one shape; the member views must map the
     same variable name to different canonical columns."""
-    evaluator = BatchEvaluator(db)
+    evaluator = BatchEvaluator(EvaluationContext(db))
     forward = evaluator.body_group(parse_query("p(X, Y)").atoms)
     backward = evaluator.body_group(parse_query("p(Y, X)").atoms)
     assert forward.core is backward.core
@@ -96,7 +97,7 @@ def test_permuted_members_share_a_group_but_not_the_alignment(db):
 
 
 def test_head_joins_matches_positivity(db):
-    evaluator = BatchEvaluator(db)
+    evaluator = BatchEvaluator(EvaluationContext(db))
     for rule_text in RULES:
         rule = parse_rule(rule_text)
         group = evaluator.body_group(rule.body_atoms)
@@ -109,11 +110,11 @@ def test_precomputed_join_seeds_the_group(db):
 
     atoms = parse_query("p(X, Y), q(Y, Z)").atoms
     join = join_atoms(atoms, db)
-    evaluator = BatchEvaluator(db)
+    evaluator = BatchEvaluator(EvaluationContext(db))
     group = evaluator.body_group(atoms, precomputed=join)
     assert group.size == len(join)
     # permuted column order is normalized before storing
-    evaluator2 = BatchEvaluator(db)
+    evaluator2 = BatchEvaluator(EvaluationContext(db))
     shuffled = join.project(["Z", "X", "Y"])
     group2 = evaluator2.body_group(atoms, precomputed=shuffled)
     assert group2.size == len(join)
@@ -125,7 +126,7 @@ def test_precomputed_thunk_is_lazy(db):
     from repro.datalog.evaluation import join_atoms
 
     atoms = parse_query("p(X, Y), q(Y, Z)").atoms
-    evaluator = BatchEvaluator(db)
+    evaluator = BatchEvaluator(EvaluationContext(db))
     calls = []
 
     def thunk():
@@ -149,14 +150,20 @@ def test_body_shape_numbers_variables_by_first_occurrence():
 
 def test_foreign_context_is_ignored(db):
     other = Database([Relation.from_rows("p", ("a", "b"), [(1, 2)])], name="other")
-    evaluator = BatchEvaluator(db, ctx=EvaluationContext(other))
-    assert evaluator.ctx is None
-    assert evaluator.applies_to(db) and not evaluator.applies_to(other)
+    foreign_ctx = EvaluationContext(other)
+    foreign = BatchEvaluator(foreign_ctx)
+    assert foreign.applies_to(other) and not foreign.applies_to(db)
+    evaluator = _make_batcher(db, True, foreign, foreign_ctx)
+    assert evaluator is not foreign
+    assert evaluator.applies_to(db) and evaluator.ctx.applies_to(db)
+    assert _make_batcher(db, False, foreign, None) is None
 
 
 def test_clear_drops_groups(db):
-    evaluator = BatchEvaluator(db)
+    ctx = EvaluationContext(db)
+    evaluator = BatchEvaluator(ctx)
     evaluator.body_group(parse_query("p(X, Y)").atoms)
-    evaluator.clear()
+    ctx.clear()
+    assert evaluator.group_count == 0
     evaluator.body_group(parse_query("p(X, Y)").atoms)
     assert evaluator.stats.groups == 2

@@ -292,7 +292,7 @@ class TestContextRefresh:
     def test_batcher_shares_context_store_and_refreshes(self):
         db = small_db()
         ctx = EvaluationContext(db)
-        batcher = BatchEvaluator(db, ctx)
+        batcher = BatchEvaluator(ctx)
         assert batcher.store is ctx.store
         group = batcher.body_group([P, Q])
         assert batcher.group_count == 1
@@ -305,7 +305,7 @@ class TestContextRefresh:
 
     def test_batcher_group_untouched_by_unrelated_mutation(self):
         db = small_db()
-        batcher = BatchEvaluator(db)
+        batcher = BatchEvaluator(EvaluationContext(db))
         batcher.body_group([P, Q])
         db.replace(rel("r", [(7, 8), (9, 10)]))
         batcher.body_group([P, Q])

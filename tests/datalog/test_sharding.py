@@ -24,7 +24,7 @@ from repro.datalog.sharding import (
     ShardedEvaluator,
     assign_shards,
     partition,
-    resolve_sharder,
+    usable_sharder,
     worker_state,
 )
 from repro.exceptions import ShardingError
@@ -84,8 +84,7 @@ def test_single_worker_evaluator_is_inactive_and_spawns_nothing():
     evaluator = ShardedEvaluator(db1(), workers=1)
     assert not evaluator.active
     assert evaluator._pool is None
-    resolved, owned = resolve_sharder(evaluator.db, 1, None)
-    assert resolved is None and not owned
+    assert usable_sharder(evaluator.db, evaluator) is None
 
 
 def test_close_is_idempotent_and_blocks_dispatch():
@@ -122,18 +121,14 @@ def test_reset_keeps_evaluator_usable():
         assert evaluator.stats.pool_starts == 2
 
 
-def test_resolve_sharder_ignores_foreign_and_closed_evaluators():
+def test_usable_sharder_ignores_foreign_and_closed_evaluators():
     db, other = db1(), db1()
     foreign = ShardedEvaluator(other, workers=2)
-    resolved, owned = resolve_sharder(db, 1, foreign)
-    assert resolved is None and not owned  # bound to a different database
+    assert usable_sharder(db, foreign) is None  # bound to a different database
     closed = ShardedEvaluator(db, workers=2)
     closed.close()
-    resolved, owned = resolve_sharder(db, 1, closed)
-    assert resolved is None and not owned
-    resolved, owned = resolve_sharder(db, 3, None)
-    assert resolved is not None and owned and resolved.workers == 3
-    resolved.close()
+    assert usable_sharder(db, closed) is None
+    assert usable_sharder(db, None) is None
     foreign.close()
 
 
@@ -171,35 +166,28 @@ def mid_telecom():
 
 def test_sharded_naive_answers_are_byte_identical(mid_telecom):
     thresholds = Thresholds(support=0.1, confidence=0.0, cover=0.0)
-    for itype in (0, 1, 2):
-        serial = naive_find_rules(mid_telecom, TRANSITIVITY, thresholds, itype)
-        sharded = naive_find_rules(mid_telecom, TRANSITIVITY, thresholds, itype, workers=2)
-        assert exact_keys(serial) == exact_keys(sharded)
+    with MetaqueryEngine(mid_telecom, workers=2) as engine:
+        for itype in (0, 1, 2):
+            serial = naive_find_rules(mid_telecom, TRANSITIVITY, thresholds, itype)
+            sharded = engine.find_rules(TRANSITIVITY, thresholds, itype, algorithm="naive")
+            assert exact_keys(serial) == exact_keys(sharded)
 
 
 def test_sharded_findrules_answers_are_byte_identical(mid_telecom):
     thresholds = Thresholds(support=0.1, confidence=0.1, cover=0.0)
-    for itype in (0, 1, 2):
-        serial = find_rules(mid_telecom, TRANSITIVITY, thresholds, itype)
-        sharded = find_rules(mid_telecom, TRANSITIVITY, thresholds, itype, workers=2)
-        assert exact_keys(serial) == exact_keys(sharded)
+    with MetaqueryEngine(mid_telecom, workers=2) as engine:
+        for itype in (0, 1, 2):
+            serial = find_rules(mid_telecom, TRANSITIVITY, thresholds, itype)
+            sharded = engine.find_rules(TRANSITIVITY, thresholds, itype, algorithm="findrules")
+            assert exact_keys(serial) == exact_keys(sharded)
 
 
 def test_sharded_findrules_composes_with_ablation_arms(mid_telecom):
     thresholds = Thresholds(support=0.2, confidence=0.3, cover=0.1)
     with ShardedEvaluator(mid_telecom, workers=2) as sharder:
-        for prune_empty in (True, False):
-            for use_full_reducer in (True, False):
-                serial = find_rules(
-                    mid_telecom, TRANSITIVITY, thresholds, 1,
-                    prune_empty=prune_empty, use_full_reducer=use_full_reducer,
-                )
-                sharded = find_rules(
-                    mid_telecom, TRANSITIVITY, thresholds, 1,
-                    prune_empty=prune_empty, use_full_reducer=use_full_reducer,
-                    sharder=sharder,
-                )
-                assert exact_keys(serial) == exact_keys(sharded)
+        serial = find_rules(mid_telecom, TRANSITIVITY, thresholds, 1)
+        sharded = find_rules(mid_telecom, TRANSITIVITY, thresholds, 1, sharder=sharder)
+        assert exact_keys(serial) == exact_keys(sharded)
         assert not sharder.closed  # explicit sharder is not closed by callees
 
 
@@ -228,15 +216,10 @@ def test_sharding_composes_with_cache_and_batch_ablations(mid_telecom):
     expected = exact_keys(naive_find_rules(mid_telecom, TRANSITIVITY, thresholds, 1))
     for cache in (True, False):
         for batch in (True, False):
-            sharded = naive_find_rules(
-                mid_telecom, TRANSITIVITY, thresholds, 1,
-                cache=cache, batch=batch, workers=2,
-            )
-            assert exact_keys(sharded) == expected, (cache, batch)
-            assert naive_decide(
-                mid_telecom, TRANSITIVITY, "cnf", Fraction(3, 10), itype=1,
-                cache=cache, batch=batch, workers=2,
-            )
+            with MetaqueryEngine(mid_telecom, cache=cache, batch=batch, workers=2) as engine:
+                sharded = engine.find_rules(TRANSITIVITY, thresholds, 1, algorithm="naive")
+                assert exact_keys(sharded) == expected, (cache, batch)
+                assert engine.decide(TRANSITIVITY, "cnf", Fraction(3, 10), itype=1)
 
 
 def test_custom_index_falls_back_to_serial_with_workers():
@@ -244,9 +227,10 @@ def test_custom_index_falls_back_to_serial_with_workers():
     # path must route custom indices through the serial evaluator.
     db = db1()
     half = PlausibilityIndex("half", lambda rule, database: Fraction(1, 2))
-    assert naive_decide(db, TRANSITIVITY, half, Fraction(1, 4), itype=1, workers=2)
-    witness = naive_witness(db, TRANSITIVITY, half, Fraction(1, 4), itype=1, workers=2)
-    assert witness is not None
+    with MetaqueryEngine(db, workers=2) as engine:
+        assert engine.decide(TRANSITIVITY, half, Fraction(1, 4), itype=1)
+        witness = engine.witness(TRANSITIVITY, half, Fraction(1, 4), itype=1)
+        assert witness is not None
 
 
 def test_engine_workers_one_has_no_sharder():

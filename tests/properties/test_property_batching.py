@@ -104,16 +104,6 @@ def test_three_arms_agree_multinode_type2(db):
     assert_same_answers(naive_plain, naive_batched, fast_plain, fast_batched)
 
 
-@given(mixed_arity_databases(), st.sampled_from([0, 1, 2]))
-@settings(max_examples=10, deadline=None)
-def test_half_reducer_arm_agrees(db, itype):
-    thresholds = Thresholds(support=0.2, confidence=0.1, cover=0.0)
-    full = find_rules(db, TRANSITIVITY, thresholds, itype, use_full_reducer=True)
-    half = find_rules(db, TRANSITIVITY, thresholds, itype, use_full_reducer=False)
-    naive = naive_find_rules(db, TRANSITIVITY, thresholds, itype)
-    assert_same_answers(naive, full, half)
-
-
 @given(mixed_arity_databases(), st.sampled_from([0, Fraction(1, 4), Fraction(1, 2)]))
 @settings(max_examples=15, deadline=None)
 def test_batched_decide_and_witness_agree(db, k):

@@ -21,7 +21,6 @@ from hypothesis import strategies as st
 
 from repro.core.answers import Thresholds
 from repro.core.engine import MetaqueryEngine
-from repro.core.findrules import find_rules
 from repro.core.metaquery import parse_metaquery
 from repro.core.naive import naive_find_rules
 from repro.datalog.sharding import ShardedEvaluator
@@ -58,13 +57,18 @@ def exact_table(answers):
     return [(str(a.rule), a.support, a.confidence, a.cover) for a in answers]
 
 
+def engine_table(db, thresholds, itype, algorithm, workers):
+    """The byte-identity key of one mining call on a ``workers``-worker engine."""
+    with MetaqueryEngine(db, workers=workers) as engine:
+        return exact_table(engine.find_rules(TRANSITIVITY, thresholds, itype, algorithm))
+
+
 @settings(max_examples=10, deadline=None)
 @given(db=mixed_arity_databases(), itype=st.sampled_from([0, 1, 2]))
 def test_naive_sharding_is_byte_identical_across_worker_counts(db, itype):
     thresholds = Thresholds(support=0.1, confidence=0.0, cover=0.0)
     tables = [
-        exact_table(naive_find_rules(db, TRANSITIVITY, thresholds, itype, workers=workers))
-        for workers in WORKER_COUNTS
+        engine_table(db, thresholds, itype, "naive", workers) for workers in WORKER_COUNTS
     ]
     assert tables[0] == tables[1] == tables[2]
 
@@ -74,8 +78,7 @@ def test_naive_sharding_is_byte_identical_across_worker_counts(db, itype):
 def test_findrules_sharding_is_byte_identical_across_worker_counts(db, itype):
     thresholds = Thresholds(support=0.1, confidence=0.1, cover=0.0)
     tables = [
-        exact_table(find_rules(db, TRANSITIVITY, thresholds, itype, workers=workers))
-        for workers in WORKER_COUNTS
+        engine_table(db, thresholds, itype, "findrules", workers) for workers in WORKER_COUNTS
     ]
     assert tables[0] == tables[1] == tables[2]
 
