@@ -21,9 +21,9 @@ Why this is safe over one shared engine:
   likewise;
 * :class:`multiprocessing.pool.Pool` is thread-safe, so concurrent
   metaqueries can share the engine's persistent worker pool;
-* per-call state (enumeration order, type-2 padding counters, reorder
-  buffers) lives on the call stack, so concurrent streams cannot perturb
-  each other's byte-identity with the serial path.
+* per-call state (enumeration order, reorder buffers) lives on the call
+  stack, so concurrent streams cannot perturb each other's byte-identity
+  with the serial path.
 
 Mutating the database **between** requests is safe: the generation-counter
 lifecycle (see :mod:`repro.datalog.lifecycle`) invalidates the memoization

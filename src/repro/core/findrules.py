@@ -43,9 +43,9 @@ from repro.core.instantiation import (
     enumerate_scheme_instantiations,
 )
 from repro.core.metaquery import LiteralScheme, MetaQuery
-from repro.core.naive import _make_batcher, _make_context
+from repro.core.naive import _evaluable, _make_batcher, _make_context
 from repro.datalog.atoms import Atom
-from repro.datalog.batching import BatchEvaluator, body_shape
+from repro.datalog.batching import BatchEvaluator, _ratio, body_shape
 from repro.datalog.context import EvaluationContext
 from repro.datalog.evaluation import atom_relation, join_atoms
 from repro.datalog.sharding import (
@@ -79,13 +79,6 @@ def body_decomposition(mq: MetaQuery, max_width: int | None = None) -> Hypertree
     return decompose(body_variable_sets(mq), max_width=max_width)
 
 
-def _ratio(numerator: int, denominator: int) -> Fraction:
-    """The fraction convention of Definition 2.6: 0 whenever the numerator is 0."""
-    if numerator == 0 or denominator == 0:
-        return Fraction(0)
-    return Fraction(numerator, denominator)
-
-
 class _FindRulesRun:
     """One execution of FindRules over a fixed database/metaquery/thresholds."""
 
@@ -105,6 +98,7 @@ class _FindRulesRun:
         self.itype = itype
         self.ctx = ctx
         self.batcher = batcher
+        self.numbering = mq.pattern_numbers
 
         # Pruning empty intermediate relations is sound only when at least one
         # strict threshold is enabled (all indices are 0 on an empty body join).
@@ -138,12 +132,9 @@ class _FindRulesRun:
 
     def instantiated_node_relation(self, node: HypertreeNode, sigma: Instantiation) -> Relation | None:
         """``π_χ(node)(J(σ(λ(node))))`` or None when some atom is not evaluable."""
-        atoms = []
-        for scheme in self.node_schemes(node):
-            atom = sigma.image(scheme)
-            if atom.predicate not in self.db or self.db[atom.predicate].arity != atom.arity:
-                return None
-            atoms.append(atom)
+        atoms = sigma.apply_to_schemes(self.node_schemes(node))
+        if not _evaluable(atoms, self.db):
+            return None
         joined = join_atoms(atoms, self.db, self.ctx)
         chi_columns = [c for c in joined.columns if c in node.chi]
         return joined.project(chi_columns)
@@ -171,7 +162,9 @@ class _FindRulesRun:
             return
         node = self.order[index]
         schemes = self.node_schemes(node)
-        for sigma_i in enumerate_scheme_instantiations(schemes, self.db, self.itype, base=sigma_b):
+        for sigma_i in enumerate_scheme_instantiations(
+            schemes, self.db, self.itype, self.numbering, base=sigma_b
+        ):
             yield from self._expand(index, sigma_b, sigma_i, relations)
 
     def _expand(
@@ -203,20 +196,14 @@ class _FindRulesRun:
         """The first-level (deepest-node) instantiations, in serial order.
 
         These are the branch roots of the ``findBodies`` search — the unit
-        the sharded path distributes.  They are enumerated once, in the
-        parent, because the type-2 padding counter advances across the
-        enumeration: re-enumerating a subset inside a worker would assign
-        different ``_T2_*`` names and break byte-identity with the serial
-        path.  Deeper levels re-enumerate deterministically per branch (the
-        padding source depends only on the branch's base instantiation).
+        the sharded path distributes: the parent enumerates them once and
+        partitions them by the shape of their instantiated atoms.
         """
         if not self.order:
             return []
         schemes = self.node_schemes(self.order[0])
         return list(
-            enumerate_scheme_instantiations(
-                schemes, self.db, self.itype, base=Instantiation({})
-            )
+            enumerate_scheme_instantiations(schemes, self.db, self.itype, self.numbering)
         )
 
     def _reduce_and_find_heads(
@@ -294,10 +281,12 @@ class _FindRulesRun:
         else:
             body = self._body_join(body_atoms, reduced)
 
-        for sigma_h in enumerate_scheme_instantiations([self.mq.head], self.db, self.itype, base=sigma_b):
+        for sigma_h in enumerate_scheme_instantiations(
+            [self.mq.head], self.db, self.itype, self.numbering, base=sigma_b
+        ):
             sigma = sigma_b.compose(sigma_h)
             head_atom = sigma.image(self.mq.head)
-            if head_atom.predicate not in self.db or self.db[head_atom.predicate].arity != head_atom.arity:
+            if not _evaluable([head_atom], self.db):
                 continue
             if group is not None:
                 cover_value, confidence_value = self.batcher.head_indices(group, head_atom)

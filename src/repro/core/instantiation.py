@@ -12,7 +12,10 @@ pattern's argument list relates to the atom's:
 * **type-2** — the atom may have larger arity; the pattern's arguments are
   placed injectively into some of the atom's positions and the remaining
   positions receive fresh variables not occurring anywhere else in the
-  instantiated rule.
+  instantiated rule.  The padding at atom position ``j`` of the image of
+  the metaquery's ``i``-th relation pattern is named ``_T2_<i>_<j>`` (see
+  :data:`~repro.core.metaquery.PADDING_PREFIX`), so the names are fresh by
+  construction and both engines give one answer the same text.
 
 The module also implements *agreement* and composition of partial
 instantiations (Definition 4.13), which the FindRules algorithm relies on.
@@ -21,12 +24,11 @@ instantiations (Definition 4.13), which the FindRules algorithm relies on.
 from __future__ import annotations
 
 import itertools
-import re
 from dataclasses import dataclass
 from enum import IntEnum
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from repro.core.metaquery import LiteralScheme, MetaQuery
+from repro.core.metaquery import PADDING_PREFIX, LiteralScheme, MetaQuery
 from repro.datalog.atoms import Atom
 from repro.datalog.rules import HornRule
 from repro.datalog.terms import Term, Variable
@@ -157,50 +159,19 @@ class Instantiation:
     def compose(self, other: "Instantiation") -> "Instantiation":
         """Union of two agreeing instantiations (``σ ∘ μ`` in the paper).
 
-        Type-2 padding variables must stay fresh across the union
-        (Definition 2.4): a ``_T2_*`` name introduced by this instantiation
-        must not reappear in an atom ``other`` contributes for a *different*
-        pattern — the "fresh" variable would silently become a join
-        variable.  Colliding padding variables on ``other``'s side are
-        renamed to names unused by either operand; shared patterns (whose
-        atoms agree, padding included) are left untouched.
+        Padding names depend only on the pattern and the position they fill,
+        so the union of two agreeing instantiations keeps them fresh.
         """
         if not self.agrees_with(other):
             raise InstantiationError("cannot compose instantiations that do not agree")
-        merged = dict(self.mapping)
-        other_dict = other.as_dict()
-
-        mine = self.fresh_variables()
-        clashes: set[Variable] = set()
-        for scheme, atom in other_dict.items():
-            if scheme in merged:
-                continue  # shared pattern: atoms agree, same padding is legal
-            for t in atom.terms:
-                if isinstance(t, Variable) and t in mine and t.name.startswith("_T2_"):
-                    clashes.add(t)
-        if clashes:
-            counter = max(
-                (_padding_index(v.name) for v in mine | other.fresh_variables()),
-                default=0,
-            )
-            renaming: dict[Variable, Variable] = {}
-            for v in sorted(clashes, key=lambda v: (_padding_index(v.name), v.name)):
-                counter += 1
-                renaming[v] = Variable(f"_T2_{counter}")
-            other_dict = {
-                scheme: (atom if scheme in merged else atom.substitute(renaming))
-                for scheme, atom in other_dict.items()
-            }
-
-        merged.update(other_dict)
-        return Instantiation(merged)
+        return Instantiation(self.mapping + other.mapping)
 
     def fresh_variables(self) -> frozenset[Variable]:
         """All padding variables introduced by type-2 images (named ``_T2_*``)."""
         result: set[Variable] = set()
         for _, atom in self.mapping:
             for t in atom.terms:
-                if isinstance(t, Variable) and t.name.startswith("_T2_"):
+                if isinstance(t, Variable) and t.name.startswith(PADDING_PREFIX):
                     result.add(t)
         return frozenset(result)
 
@@ -285,45 +256,18 @@ def is_valid_image(
 # ----------------------------------------------------------------------
 # enumeration
 # ----------------------------------------------------------------------
-_PADDING_NAME = re.compile(r"_T2_(\d+)\Z")
-
-
-def _padding_index(name: str) -> int:
-    """The numeric suffix of a ``_T2_*`` padding variable name, or 0."""
-    match = _PADDING_NAME.match(name)
-    return int(match.group(1)) if match else 0
-
-
-class _FreshPadding:
-    """Produces rule-wide unique padding variables for type-2 images."""
-
-    def __init__(self, start: int = 0) -> None:
-        self._counter = start
-
-    @classmethod
-    def avoiding(cls, variables: Iterable[Variable]) -> "_FreshPadding":
-        """A source whose names come strictly after every given ``_T2_*`` name.
-
-        Used when extending a partial instantiation (Definition 2.4 requires
-        the padding variables of the *whole* instantiated rule to be
-        distinct, so the extension must not restart at ``_T2_1``).
-        """
-        start = max((_padding_index(v.name) for v in variables), default=0)
-        return cls(start)
-
-    def next(self) -> Variable:
-        self._counter += 1
-        return Variable(f"_T2_{self._counter}")
-
-
 def _candidate_atoms_for_pattern(
     pattern: LiteralScheme,
+    number: int,
     relation_name: str,
     relation_arity: int,
     itype: InstantiationType,
-    padding: _FreshPadding,
 ) -> Iterator[Atom]:
-    """All atoms over ``relation_name`` that are valid images of ``pattern``."""
+    """All atoms over ``relation_name`` that are valid images of ``pattern``.
+
+    ``number`` is the pattern's index in the metaquery's relation patterns;
+    type-2 padding at atom position ``j`` is named ``_T2_<number>_<j>``.
+    """
     k = pattern.arity
     if itype is InstantiationType.TYPE_0:
         if relation_arity == k:
@@ -341,7 +285,7 @@ def _candidate_atoms_for_pattern(
             yield Atom(relation_name, permuted)
         return
     # type-2: choose an injective placement of the k pattern arguments into
-    # the relation's positions; remaining positions get fresh variables.
+    # the relation's positions; remaining positions get padding variables.
     if relation_arity < k:
         return
     positions = range(relation_arity)
@@ -354,24 +298,29 @@ def _candidate_atoms_for_pattern(
         terms: list[Term | None] = [None] * relation_arity
         for pattern_pos, atom_pos in enumerate(placement):
             terms[atom_pos] = pattern.terms[pattern_pos]
-        filled = [t if t is not None else padding.next() for t in terms]
-        yield Atom(relation_name, filled)
+        if relation_arity > k:
+            terms = [
+                t if t is not None else Variable(f"{PADDING_PREFIX}{number}_{pos}")
+                for pos, t in enumerate(terms)
+            ]
+        yield Atom(relation_name, terms)
 
 
 def enumerate_pattern_images(
     pattern: LiteralScheme,
     db: Database,
     itype: InstantiationType | int,
+    number: int,
     relation_name: str | None = None,
-    padding: _FreshPadding | None = None,
 ) -> Iterator[Atom]:
     """All valid images of one relation pattern over the database's relations.
 
-    When ``relation_name`` is given, only that relation is considered
-    (used when a predicate variable's relation is already fixed).
+    ``number`` is the pattern's index in the metaquery's
+    :attr:`~repro.core.metaquery.MetaQuery.relation_patterns`; it names the
+    type-2 padding.  When ``relation_name`` is given, only that relation is
+    considered (used when a predicate variable's relation is already fixed).
     """
     itype = InstantiationType.coerce(itype)
-    padding = padding or _FreshPadding()
     if relation_name is not None:
         names: Sequence[str] = (relation_name,)
     else:
@@ -380,25 +329,26 @@ def enumerate_pattern_images(
         if name not in db:
             continue
         arity = db[name].arity
-        yield from _candidate_atoms_for_pattern(pattern, name, arity, itype, padding)
+        yield from _candidate_atoms_for_pattern(pattern, number, name, arity, itype)
 
 
 def enumerate_scheme_instantiations(
     schemes: Sequence[LiteralScheme],
     db: Database,
     itype: InstantiationType | int,
+    numbering: Mapping[LiteralScheme, int],
     base: Instantiation | None = None,
-    padding: _FreshPadding | None = None,
 ) -> Iterator[Instantiation]:
     """All instantiations of the patterns occurring in ``schemes``.
 
     The result instantiations are defined exactly on the distinct patterns
     of ``schemes`` and agree with ``base`` (patterns already covered by
     ``base`` keep their image; predicate variables fixed by ``base`` keep
-    their relation).  Type-2 padding variables are drawn from ``padding``;
-    by default the source starts strictly after every ``_T2_*`` name already
-    used by ``base``, so composing a result with ``base`` can never turn a
-    padding variable into an accidental join variable (Definition 2.4).
+    their relation).  ``numbering`` is the whole metaquery's
+    :attr:`~repro.core.metaquery.MetaQuery.pattern_numbers` (never a
+    numbering of ``schemes`` alone), so padding names differ between
+    patterns and composing a result with ``base`` keeps them fresh
+    (Definition 2.4).
     """
     itype = InstantiationType.coerce(itype)
     base_dict = base.as_dict() if base is not None else {}
@@ -408,13 +358,7 @@ def enumerate_scheme_instantiations(
     for scheme in schemes:
         if scheme.is_pattern and scheme not in patterns:
             patterns.append(scheme)
-
-    if padding is None:
-        padding = (
-            _FreshPadding.avoiding(base.fresh_variables())
-            if base is not None
-            else _FreshPadding()
-        )
+    numbers = [numbering[pattern] for pattern in patterns]
 
     def backtrack(index: int, current: dict[LiteralScheme, Atom], assignment: dict[str, str]) -> Iterator[Instantiation]:
         if index == len(patterns):
@@ -428,7 +372,9 @@ def enumerate_scheme_instantiations(
             del current[pattern]
             return
         fixed_relation = assignment.get(pattern.predicate)
-        for atom in enumerate_pattern_images(pattern, db, itype, relation_name=fixed_relation, padding=padding):
+        for atom in enumerate_pattern_images(
+            pattern, db, itype, numbers[index], relation_name=fixed_relation
+        ):
             current[pattern] = atom
             previous = assignment.get(pattern.predicate)
             assignment[pattern.predicate] = atom.predicate
@@ -458,7 +404,9 @@ def enumerate_instantiations(
     itype = InstantiationType.coerce(itype)
     if itype in (InstantiationType.TYPE_0, InstantiationType.TYPE_1) and not mq.is_pure():
         raise MetaqueryError(f"type-{int(itype)} instantiations require a pure metaquery")
-    yield from enumerate_scheme_instantiations(mq.literal_schemes, db, itype)
+    yield from enumerate_scheme_instantiations(
+        mq.literal_schemes, db, itype, mq.pattern_numbers
+    )
 
 
 def count_instantiations(mq: MetaQuery, db: Database, itype: InstantiationType | int) -> int:

@@ -24,7 +24,15 @@ from repro.datalog.parser import _Parser  # shared tokenizer / term parsing
 from repro.datalog.terms import Term, Variable, term
 from repro.exceptions import MetaqueryError, ParseError
 
-__all__ = ["LiteralScheme", "MetaQuery", "parse_metaquery"]
+__all__ = ["PADDING_PREFIX", "LiteralScheme", "MetaQuery", "parse_metaquery"]
+
+#: Prefix of type-2 padding variables (Definition 2.4).  The padding at atom
+#: position ``j`` of the image of relation pattern ``i`` is named
+#: ``_T2_<i>_<j>``, both indices 0-based, ``i`` counting
+#: :attr:`MetaQuery.relation_patterns`.  :class:`MetaQuery` rejects ordinary
+#: variables with this prefix, so padding is fresh in every instantiated
+#: rule by construction.
+PADDING_PREFIX = "_T2_"
 
 
 @dataclass(frozen=True)
@@ -126,6 +134,12 @@ class MetaQuery:
         self.name = name or "MQ"
         if not self.body:
             raise MetaqueryError("a metaquery must have a non-empty body")
+        for variable in self.ordinary_variables:
+            if variable.name.startswith(PADDING_PREFIX):
+                raise MetaqueryError(
+                    f"variable {variable} uses the prefix {PADDING_PREFIX!r} "
+                    "reserved for type-2 padding"
+                )
 
     # ------------------------------------------------------------------
     @property
@@ -141,6 +155,12 @@ class MetaQuery:
             if scheme.is_pattern and scheme not in seen:
                 seen.append(scheme)
         return tuple(seen)
+
+    @property
+    def pattern_numbers(self) -> dict[LiteralScheme, int]:
+        """Each relation pattern's index in :attr:`relation_patterns`: the
+        ``i`` of its padding names ``_T2_<i>_<j>``."""
+        return {pattern: i for i, pattern in enumerate(self.relation_patterns)}
 
     @property
     def predicate_variables(self) -> tuple[str, ...]:

@@ -38,7 +38,7 @@ Explicit ``ctx=``/``batcher=`` objects bound to the database win over the
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from repro.core.answers import AnswerSet, MetaqueryAnswer, Thresholds, validate_threshold
 from repro.core.indices import (
@@ -52,6 +52,7 @@ from repro.core.indices import (
 )
 from repro.core.instantiation import Instantiation, InstantiationType, enumerate_instantiations
 from repro.core.metaquery import MetaQuery
+from repro.datalog.atoms import Atom
 from repro.datalog.batching import BatchEvaluator, body_shape
 from repro.datalog.context import EvaluationContext
 from repro.datalog.rules import HornRule
@@ -67,12 +68,10 @@ from repro.relational.database import Database
 __all__ = ["iter_answers", "naive_find_rules", "naive_decide", "naive_witness"]
 
 
-def _rule_is_evaluable(rule: HornRule, db: Database) -> bool:
-    """Every predicate of the rule must name a database relation of matching arity."""
-    for atom in rule.atoms:
-        if atom.predicate not in db:
-            return False
-        if db[atom.predicate].arity != atom.arity:
+def _evaluable(atoms: Iterable[Atom], db: Database) -> bool:
+    """Every atom must name a database relation of matching arity."""
+    for atom in atoms:
+        if atom.predicate not in db or db[atom.predicate].arity != atom.arity:
             return False
     return True
 
@@ -132,7 +131,7 @@ def _enumerate_evaluable(
     """Instantiations (with their rules) whose predicates the database can evaluate."""
     for instantiation in enumerate_instantiations(mq, db, itype):
         rule = instantiation.apply(mq)
-        if _rule_is_evaluable(rule, db):
+        if _evaluable(rule.atoms, db):
             yield instantiation, rule
 
 
@@ -212,9 +211,8 @@ def _shard_items(
 ) -> tuple[list[tuple[Instantiation, HornRule]], list[list[tuple[int, HornRule]]]]:
     """Enumerate serially, then partition the rules by body-shape group key.
 
-    Enumeration stays in the parent so type-2 padding counters advance
-    exactly as on the serial path (the names are part of byte-identity);
-    only the small instantiated rules are pickled to the workers.
+    Only the small instantiated rules are pickled to the workers; each
+    keeps its serial position, so the merge restores the serial order.
     """
     items = list(_enumerate_evaluable(db, mq, itype))
     rules = [rule for _, rule in items]
@@ -292,9 +290,9 @@ def iter_answers(
 
     With an open ``sharder`` the instantiations are evaluated by its worker
     pool and yielded in the exact serial order: the sharded arm enumerates
-    up front (padding determinism), dispatches the shards and streams
-    results through a position-keyed reorder buffer, so answers are emitted
-    as shards complete and are byte-identical to the serial path's.  This
+    up front, dispatches the shards and streams results through a
+    position-keyed reorder buffer, so answers are emitted as shards
+    complete and are byte-identical to the serial path's.  This
     generator is the core the streaming API (``PreparedMetaquery.stream``)
     builds on.
     """

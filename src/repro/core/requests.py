@@ -304,24 +304,12 @@ class PreparedMetaquery:
         the algorithm that actually ran) — byte-identical to the stream.
 
         A repeat of an already completed request is served from the
-        engine's request cache without re-evaluating — an
-        answer-count-bounded copy instead of an exponential search — as
-        long as the database's generation vector still matches the one the
-        evaluation started from.  The cache keeps private snapshots and
-        every call returns a fresh :class:`AnswerSet`, so mutating a result
-        in place (``AnswerSet.append``) cannot poison later replays.
+        engine's request cache, as :meth:`stream` serves it.  The cache
+        keeps private snapshots and every call returns a fresh
+        :class:`AnswerSet`, so mutating a result in place
+        (``AnswerSet.append``) cannot poison later replays.
         """
-        cache = self.engine.request_cache
-        if cache is None:
-            return AnswerSet.collect(self._evaluate(), algorithm=self.algorithm)
-        key = self._answer_cache_key()
-        vector = self.engine.db.generation_vector()
-        cached = cache.get(key, vector)
-        if cached is not None:
-            return AnswerSet(cached, algorithm=cached.algorithm)
-        answers = AnswerSet.collect(self._evaluate(), algorithm=self.algorithm)
-        cache.put(key, vector, AnswerSet(answers, algorithm=self.algorithm))
-        return answers
+        return AnswerSet.collect(self.stream(), algorithm=self.algorithm)
 
     def __iter__(self) -> Iterator[MetaqueryAnswer]:
         """Iterating a prepared metaquery streams it."""

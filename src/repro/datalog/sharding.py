@@ -36,8 +36,7 @@ Determinism contract: callers tag every work item with its position in the
 serial enumeration order, shard by group key, and re-assemble results by
 position (a stable sort by instantiation key).  Because every index value
 is an exact :class:`~fractions.Fraction` and the instantiations themselves
-are enumerated once in the parent (type-2 padding counters included), the
-merged answers are **byte-identical** to the serial path's for any worker
+are enumerated once in the parent, the merged answers are **byte-identical** to the serial path's for any worker
 count — the property the sharding property tests assert.
 
 The engine-facing entry points live with their engines

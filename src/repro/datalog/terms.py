@@ -9,9 +9,9 @@ values so that databases over strings, integers, or tuples all work.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Iterator
+from typing import Any
 
-__all__ = ["Term", "Variable", "Constant", "term", "FreshVariableFactory"]
+__all__ = ["Term", "Variable", "Constant", "term"]
 
 
 class Term:
@@ -77,28 +77,3 @@ def term(value: Any) -> Term:
         return Variable(value)
     return Constant(value)
 
-
-class FreshVariableFactory:
-    """Generates globally-unique variable names.
-
-    Used by type-2 instantiations (Definition 2.4), which pad extra relation
-    attributes with "variables not occurring elsewhere in the instantiated
-    rule", and by the acyclification construction of Theorem 3.32.
-    """
-
-    def __init__(self, prefix: str = "_F") -> None:
-        self._prefix = prefix
-        self._counter = 0
-
-    def fresh(self) -> Variable:
-        """Return a new variable whose name has not been handed out before."""
-        self._counter += 1
-        return Variable(f"{self._prefix}{self._counter}")
-
-    def fresh_many(self, count: int) -> list[Variable]:
-        """Return ``count`` fresh variables."""
-        return [self.fresh() for _ in range(count)]
-
-    def __iter__(self) -> Iterator[Variable]:  # pragma: no cover - convenience
-        while True:
-            yield self.fresh()

@@ -26,26 +26,8 @@ from repro.workloads.synthetic import (
 from repro.workloads.telecom import db1, scaled_telecom
 
 
-def canonical_rule(rule) -> str:
-    """Render a rule with type-2 padding variables renamed in appearance order.
-
-    Padding variables are fresh by construction, so two rules that differ
-    only in padding-variable *names* are the same answer; the engines are
-    not required to pick identical names.
-    """
-    import re
-
-    text = str(rule)
-    mapping: dict[str, str] = {}
-    for name in re.findall(r"_T2_\d+", text):
-        mapping.setdefault(name, f"_pad{len(mapping)}")
-    for old, new in mapping.items():
-        text = text.replace(old, new)
-    return text
-
-
 def answer_keys(answers):
-    return sorted((canonical_rule(a.rule), a.support, a.confidence, a.cover) for a in answers)
+    return sorted((str(a.rule), a.support, a.confidence, a.cover) for a in answers)
 
 
 TRANSITIVITY = parse_metaquery("R(X,Z) <- P(X,Y), Q(Y,Z)")

@@ -116,25 +116,25 @@ class TestTypeValidation:
 class TestEnumeration:
     def test_type0_image_count(self, telecom_db):
         pattern = LiteralScheme.pattern("P", ["X", "Y"])
-        images = list(enumerate_pattern_images(pattern, telecom_db, 0))
+        images = list(enumerate_pattern_images(pattern, telecom_db, 0, number=0))
         # binary relations: usca, cate, uspt
         assert len(images) == 3
         assert all(tuple(map(str, a.terms)) == ("X", "Y") for a in images)
 
     def test_type1_image_count(self, telecom_db):
         pattern = LiteralScheme.pattern("P", ["X", "Y"])
-        images = list(enumerate_pattern_images(pattern, telecom_db, 1))
+        images = list(enumerate_pattern_images(pattern, telecom_db, 1, number=0))
         assert len(images) == 6  # 3 relations x 2 permutations
 
     def test_type2_image_count(self, telecom_db_prime):
         pattern = LiteralScheme.pattern("P", ["X", "Y"])
-        images = list(enumerate_pattern_images(pattern, telecom_db_prime, 2))
+        images = list(enumerate_pattern_images(pattern, telecom_db_prime, 2, number=0))
         # usca, cate: arity 2 -> 2 placements each; uspt: arity 3 -> 3*2 = 6 placements
         assert len(images) == 2 + 2 + 6
 
     def test_type1_with_repeated_variable_deduplicates(self, telecom_db):
         pattern = LiteralScheme.pattern("P", ["X", "X"])
-        images = list(enumerate_pattern_images(pattern, telecom_db, 1))
+        images = list(enumerate_pattern_images(pattern, telecom_db, 1, number=0))
         assert len(images) == 3  # both permutations coincide
 
     def test_full_enumeration_counts(self, telecom_db):
@@ -159,7 +159,9 @@ class TestEnumeration:
             {LiteralScheme.pattern("P", ["X", "Y"]): Atom("usca", ["X", "Y"])}
         )
         schemes = [LiteralScheme.pattern("P", ["X", "Y"]), LiteralScheme.pattern("Q", ["Y", "Z"])]
-        results = list(enumerate_scheme_instantiations(schemes, telecom_db, 0, base=base))
+        results = list(
+            enumerate_scheme_instantiations(schemes, telecom_db, 0, MQ.pattern_numbers, base=base)
+        )
         assert len(results) == 3
         assert all(sigma.image(schemes[0]).predicate == "usca" for sigma in results)
 
@@ -173,9 +175,28 @@ class TestEnumeration:
     def test_type2_padding_variables_globally_fresh(self, telecom_db_prime):
         mq = parse_metaquery("R(X,Z) <- P(X,Y), Q(Y,Z)")
         for sigma in enumerate_instantiations(mq, telecom_db_prime, 2):
-            rule = sigma.apply(mq)
-            fresh = [v for v in rule.variables if v.name.startswith("_T2_")]
+            # one entry per atom a padding variable occurs in
+            fresh = [
+                v for atom in sigma.apply(mq).atoms for v in atom.variables
+                if v.name.startswith("_T2_")
+            ]
             assert len(fresh) == len(set(fresh))
+
+    def test_type2_padding_named_by_pattern_and_position(self, telecom_db_prime):
+        pattern = LiteralScheme.pattern("P", ["X", "Y"])
+        images = {str(a) for a in enumerate_pattern_images(pattern, telecom_db_prime, 2, number=3)}
+        assert {"uspt(X, Y, _T2_3_2)", "uspt(_T2_3_0, Y, X)"} <= images
+        assert {"usca(X, Y)", "usca(Y, X)"} <= images
+
+    def test_padding_names_do_not_depend_on_enumeration_order(self, telecom_db_prime):
+        """The head's images are the same whether or not a body is fixed first."""
+        numbering = MQ.pattern_numbers
+        alone = list(enumerate_scheme_instantiations([MQ.head], telecom_db_prime, 2, numbering))
+        base = next(enumerate_scheme_instantiations(MQ.body, telecom_db_prime, 2, numbering))
+        after = list(
+            enumerate_scheme_instantiations([MQ.head], telecom_db_prime, 2, numbering, base=base)
+        )
+        assert [s.image(MQ.head) for s in after] == [s.image(MQ.head) for s in alone]
 
     def test_fresh_variables_accessor(self, telecom_db_prime):
         mq = parse_metaquery("I(X) <- O(X)")

@@ -123,3 +123,19 @@ class TestMetaQuery:
     def test_variable_named_with_underscore_prefix(self):
         mq = parse_metaquery("R(X) <- P(X, _pad)")
         assert Variable("_pad") in mq.body[0].ordinary_variables
+
+    def test_padding_prefix_is_reserved(self):
+        """An ordinary variable named like type-2 padding could turn into a
+        join with the padding the enumerator adds (Definition 2.4)."""
+        with pytest.raises(MetaqueryError, match="_T2_"):
+            parse_metaquery("R(X,_T2_1) <- P(X,_T2_1)")
+        with pytest.raises(MetaqueryError):
+            parse_metaquery("R(X) <- P(X), edge(X, _T2_0_1)")
+
+    def test_pattern_numbers_follow_relation_patterns(self):
+        mq = parse_metaquery("R(X,Z) <- P(X,Y), R(X,Z), Q(Y,Z)")
+        assert mq.pattern_numbers == {
+            LiteralScheme.pattern("R", ["X", "Z"]): 0,
+            LiteralScheme.pattern("P", ["X", "Y"]): 1,
+            LiteralScheme.pattern("Q", ["Y", "Z"]): 2,
+        }

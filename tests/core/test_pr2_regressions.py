@@ -4,11 +4,12 @@ Two of its three correctness bugs are pinned here (the third, support
 drift in a FindRules arm that skipped the full reducer's top-down pass,
 went with that arm):
 
-1. **Type-2 freshness** — FindRules enumerated head (and per-node body)
-   instantiations with a padding counter restarting at ``_T2_1``, so a
-   "fresh" padding variable could collide with one already used by the
-   partial body instantiation; composing the two silently turned it into a
-   join variable, violating Definition 2.4 and corrupting cover/confidence.
+1. **Type-2 freshness** — padding variables must not occur elsewhere in
+   the instantiated rule (Definition 2.4).  FindRules once gave a head
+   image a padding variable its partial body instantiation already used,
+   so composing the two turned it into a join variable and corrupted
+   cover/confidence.  Padding is now named by pattern and position
+   (``_T2_<i>_<j>``), fresh by construction in either engine.
 3. **Index ctx detection** — ``PlausibilityIndex`` miscounted callables
    whose ``ctx`` parameter is keyword-only (e.g. after ``functools.partial``
    binding), either dropping cache sharing or raising ``TypeError``.
@@ -21,7 +22,6 @@ wrong whenever a body atom's padding positions took several values per
 """
 
 import functools
-import re
 from fractions import Fraction
 
 import pytest
@@ -32,7 +32,7 @@ from repro.core.instantiation import (
     Instantiation,
     enumerate_scheme_instantiations,
 )
-from repro.core.metaquery import LiteralScheme, parse_metaquery
+from repro.core.metaquery import LiteralScheme, MetaQuery, parse_metaquery
 from repro.core.naive import naive_find_rules
 from repro.datalog.context import EvaluationContext
 from repro.datalog.parser import parse_atom, parse_rule
@@ -40,27 +40,8 @@ from repro.relational.database import Database
 from repro.relational.relation import Relation
 
 
-def canonical_key(answer):
-    """Answer key with padding variables renamed by first occurrence.
-
-    ``_T2_*`` names are arbitrary (each engine numbers them differently),
-    so cross-engine comparisons must be up to a consistent renaming.
-    """
-    mapping = {}
-
-    def rename(match):
-        return mapping.setdefault(match.group(0), f"_F{len(mapping) + 1}")
-
-    return (
-        re.sub(r"_T2_\d+", rename, str(answer.rule)),
-        answer.support,
-        answer.confidence,
-        answer.cover,
-    )
-
-
-def canonical_keys(answers):
-    return sorted(canonical_key(a) for a in answers)
+def answer_keys(answers):
+    return sorted((str(a.rule), a.support, a.confidence, a.cover) for a in answers)
 
 
 # ----------------------------------------------------------------------
@@ -80,9 +61,12 @@ class TestType2Freshness:
     def test_head_enumeration_avoids_base_padding(self, ternary_db):
         head = LiteralScheme.pattern("R", ("X", "Z"))
         body = LiteralScheme.pattern("P", ("X", "Y"))
-        for sigma_b in enumerate_scheme_instantiations([body], ternary_db, 2):
+        numbering = MetaQuery(head, [body]).pattern_numbers
+        for sigma_b in enumerate_scheme_instantiations([body], ternary_db, 2, numbering):
             body_padding = sigma_b.fresh_variables()
-            for sigma_h in enumerate_scheme_instantiations([head], ternary_db, 2, base=sigma_b):
+            for sigma_h in enumerate_scheme_instantiations(
+                [head], ternary_db, 2, numbering, base=sigma_b
+            ):
                 assert not (sigma_h.fresh_variables() & body_padding)
 
     def test_findrules_matches_naive_on_multinode_type2(self, ternary_db):
@@ -91,7 +75,7 @@ class TestType2Freshness:
         mq = parse_metaquery("R(X,Z) <- P(X,Y), Q(Y,Z)")
         naive = naive_find_rules(ternary_db, mq, None, 2)
         fast = find_rules(ternary_db, mq, None, 2)
-        assert canonical_keys(naive) == canonical_keys(fast)
+        assert answer_keys(naive) == answer_keys(fast)
 
     def test_findrules_padded_fiber_confidence(self):
         """cnf counts over the full J(b), padding columns included: two body
@@ -106,20 +90,14 @@ class TestType2Freshness:
         mq = parse_metaquery("R(X) <- P(X)")
         naive = naive_find_rules(db, mq, None, 2)
         fast = find_rules(db, mq, None, 2)
-        assert canonical_keys(naive) == canonical_keys(fast)
+        assert answer_keys(naive) == answer_keys(fast)
         # the specific corrupted value: body p3(X, _, _) has |J(b)| = 3, and
         # 2 of the 3 tuples join the head r2(X, _), so cnf = 2/3 (not 1/2,
         # which the χ-projected body join used to give).
-        target = [k for k in canonical_keys(naive) if k[0].startswith("r2(X, _F1) <- p3(X")]
+        target = [
+            k for k in answer_keys(fast) if k[0] == "r2(X, _T2_0_1) <- p3(X, _T2_1_1, _T2_1_2)"
+        ]
         assert target and target[0][2] == Fraction(2, 3)
-
-    def test_compose_renames_colliding_padding(self):
-        sigma_b = Instantiation({LiteralScheme.pattern("P", ("X",)): parse_atom("p(X, _T2_1)")})
-        sigma_h = Instantiation({LiteralScheme.pattern("R", ("X",)): parse_atom("r(X, _T2_1)")})
-        composed = sigma_b.compose(sigma_h)
-        atoms = [atom for _, atom in composed.mapping]
-        padding = [t.name for atom in atoms for t in atom.terms if t.name.startswith("_T2_")]
-        assert len(padding) == len(set(padding)), "padding variable reused across atoms"
 
     def test_compose_keeps_shared_pattern_padding(self):
         pattern = LiteralScheme.pattern("P", ("X",))

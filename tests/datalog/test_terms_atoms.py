@@ -3,7 +3,7 @@
 import pytest
 
 from repro.datalog.atoms import Atom, variables_of
-from repro.datalog.terms import Constant, FreshVariableFactory, Variable, term
+from repro.datalog.terms import Constant, Variable, term
 from repro.exceptions import DatalogError
 
 
@@ -24,17 +24,6 @@ class TestTerms:
         assert Variable("X").is_variable
         assert not Variable("X").is_constant
         assert Constant(1).is_constant
-
-    def test_fresh_variable_factory_unique(self):
-        factory = FreshVariableFactory()
-        names = {factory.fresh().name for _ in range(100)}
-        assert len(names) == 100
-
-    def test_fresh_many(self):
-        factory = FreshVariableFactory(prefix="_P")
-        fresh = factory.fresh_many(3)
-        assert len(fresh) == 3
-        assert all(v.name.startswith("_P") for v in fresh)
 
 
 class TestAtoms:

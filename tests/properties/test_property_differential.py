@@ -20,15 +20,16 @@ Properties:
   request cache) byte for byte — every encoded answer line, in order — for
   ``naive``, ``findrules`` and ``auto``, and for ``decide``/``witness`` on
   sup/cnf/cvr at ``k`` in {0, 1/4};
-* FindRules equals naive once ``_T2_*`` padding names are renumbered by
-  first occurrence in each answer (the two algorithms number padding
-  differently);
+* FindRules equals naive as sorted lines (FindRules emits in
+  decomposition order, naive in enumeration order);
+* every rule either engine answers has fresh type-2 padding
+  (Definition 2.4), checked from the atoms without reading padding names —
+  the reference shares the enumerator, so this is the independent check;
 * the same byte-identity holds at ``workers=2``.
 """
 
 from __future__ import annotations
 
-import re
 from fractions import Fraction
 from itertools import islice
 from typing import Iterable
@@ -40,7 +41,8 @@ from repro.core.answers import MetaqueryAnswer, Thresholds
 from repro.core.engine import MetaqueryEngine
 from repro.core.instantiation import enumerate_instantiations
 from repro.core.metaquery import LiteralScheme, MetaQuery
-from repro.datalog.terms import Constant, Variable
+from repro.datalog.atoms import Atom
+from repro.datalog.terms import Constant, Term, Variable
 from repro.relational.database import Database
 from repro.relational.relation import Relation
 from repro.server.service import encode_answer
@@ -148,12 +150,12 @@ def transcript(engine: MetaqueryEngine, mq, itype, thresholds) -> list[list[str]
     return out
 
 
-def renumbered(line: str) -> str:
-    """The line with ``_T2_*`` names renumbered by first occurrence."""
-    names: dict[str, str] = {}
-    return re.sub(
-        r"_T2_\d+", lambda m: names.setdefault(m.group(0), f"_T2_{len(names) + 1}"), line
-    )
+def padding(pattern: LiteralScheme, atom: Atom) -> list[Term]:
+    """The image's terms left once each pattern argument is matched once."""
+    rest = list(atom.terms)
+    for t in pattern.terms:
+        rest.remove(t)
+    return rest
 
 
 @settings(max_examples=80, deadline=None)
@@ -166,12 +168,31 @@ def test_production_defaults_match_the_reference(case):
 
 @settings(max_examples=60, deadline=None)
 @given(case=cases())
-def test_findrules_equals_naive_up_to_padding_names(case):
+def test_findrules_equals_naive_as_sorted_lines(case):
     db, mq, itype, thresholds = case
     engine = MetaqueryEngine(db)
     naive = lines(engine.stream(mq, thresholds, itype, "naive"))
     findrules = lines(engine.stream(mq, thresholds, itype, "findrules"))
-    assert sorted(map(renumbered, findrules)) == sorted(map(renumbered, naive))
+    assert sorted(findrules) == sorted(naive)
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=cases())
+def test_padding_is_fresh_in_every_answer(case):
+    """Each padding position holds its own variable, no two patterns share
+    one, and none is an ordinary variable of the rule."""
+    db, mq, itype, _ = case
+    ordinary = set(mq.ordinary_variables)
+    engine = MetaqueryEngine(db)
+    for algorithm in ("naive", "findrules"):
+        for answer in engine.stream(mq, None, itype, algorithm):
+            used: set[Term] = set()
+            for pattern, atom in answer.instantiation.mapping:
+                pads = padding(pattern, atom)
+                assert all(isinstance(t, Variable) for t in pads), answer.rule
+                assert len(set(pads)) == len(pads), answer.rule
+                assert not set(pads) & (ordinary | used), answer.rule
+                used.update(pads)
 
 
 @settings(max_examples=5, deadline=None)

@@ -39,8 +39,7 @@ def mixed_arity_databases(draw):
 
     The ternary relation makes type-2 instantiations of binary patterns
     introduce padding variables, exercising the padding-name half of the
-    byte-identity contract (padding counters advance in the parent's
-    enumeration order, which sharding must preserve).
+    byte-identity contract.
     """
     domain = st.integers(min_value=0, max_value=draw(st.integers(min_value=1, max_value=2)))
     relations = []

@@ -123,6 +123,10 @@ BAD_MINE_BODIES = [
         json.dumps({"metaquery": "R(X ,Z) <- <- nonsense"}).encode(),
         id="unparseable-metaquery",
     ),
+    pytest.param(
+        json.dumps({"metaquery": "R(X,_T2_1) <- P(X,_T2_1)", "itype": 2}).encode(),
+        id="padding-prefixed-variable",
+    ),
 ]
 
 
